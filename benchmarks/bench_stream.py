@@ -39,7 +39,9 @@ run-over-run trajectory:
 
 Every record embeds :func:`repro.sim.bench.machine_metadata` (cpu
 count, python, git sha), so trajectory points are comparable across
-runners.
+runners, and ``peak_rss_mb`` (``ru_maxrss`` of this process or its
+shard processes), so the trajectory tracks memory next to
+throughput.
 
 Usage::
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import resource
 import sys
 
 from repro.experiments.s1_streaming import (
@@ -93,6 +96,15 @@ MEGA_STREAMS = 10_000
 #: identical across every pass, so repetition can never mask a
 #: correctness drift.
 REPEATS = 3
+
+
+def peak_rss_mb() -> float:
+    """Largest resident set (``ru_maxrss``) of this process or of any
+    shard process it has waited for, in MiB."""
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
 
 
 def bench_parity(seed: int, scenario: str) -> dict:
@@ -440,6 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         "gate_sustained_per_core": SUSTAINED_PER_CORE_GATE,
         "stages": profile.as_rows(),
         "results": results,
+        "peak_rss_mb": peak_rss_mb(),
     }
     write_bench_record(args.output, record)
     table = ResultTable(
@@ -479,6 +492,7 @@ def main(argv: list[str] | None = None) -> int:
             "",
         )
     print(table.render())
+    print(f"peak RSS: {record['peak_rss_mb']:.1f} MiB")
     print(profile.render(), file=sys.stderr)
     print(f"wrote {args.output}", file=sys.stderr)
     if not parity["identical"]:

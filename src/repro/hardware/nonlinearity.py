@@ -82,9 +82,11 @@ class PolynomialNonlinearity:
         the transducer model in one call.
         """
         x = np.asarray(x, dtype=np.float64)
+        # In place, same operation order: no chunk-sized temporaries.
         result = np.zeros_like(x)
         for coefficient in reversed(self.coefficients):
-            result = (result + coefficient) * x
+            np.add(result, coefficient, out=result)
+            np.multiply(result, x, out=result)
         return result
 
     def apply(self, signal: Signal) -> Signal:

@@ -121,8 +121,10 @@ class FleetConfig:
         scalar baseline.
     batch_streams:
         Streams per kernel lockstep group (vectorized mode). Any
-        value produces the identical digest; it trades batched-op
-        width against working-set memory.
+        value produces the identical digest. Timelines are read
+        chunk by chunk, so a group's working set is
+        O(``batch_streams`` x (chunk + ring)) whatever ``gap_s``
+        is; the knob sets batched-op width, not timeline memory.
     """
 
     scenario: str = "free_field"
@@ -487,6 +489,71 @@ class RawStreamRun:
         )
 
 
+class TimelineSource:
+    """One device's audio timeline — lead-in, utterances, gaps — read
+    front to back on demand.
+
+    The timeline is never materialised: :meth:`read_into` slices
+    utterance spans from the synthesised recordings and draws ambient
+    spans from the stream's own generator for exactly the samples
+    requested, scaled straight into the caller's buffer. Consecutive
+    ``Generator.normal`` calls continue one stream of draws, so any
+    read partition yields bitwise the values of one eager draw per
+    ambient piece (``tests/stream/test_stream_timeline.py`` pins both
+    that numpy property and the partition invariance). The kernel
+    therefore holds one chunk per stream instead of whole timelines,
+    whatever ``gap_s`` is.
+    """
+
+    def __init__(
+        self,
+        config: FleetConfig,
+        rate: float,
+        recordings: list[Signal],
+        rng: np.random.Generator,
+    ) -> None:
+        mean_rms = float(
+            np.mean([recording.rms() for recording in recordings])
+        )
+        self._scale = config.background_ratio * max(mean_rms, 1e-12)
+        self._rng = rng
+        lead = int(round(config.lead_in_s * rate))
+        gap = int(round(config.gap_s * rate))
+        # (length, samples); ``None`` samples mark an ambient piece.
+        pieces: list[tuple[int, np.ndarray | None]] = [(lead, None)]
+        for recording in recordings:
+            pieces.append((recording.samples.shape[0], recording.samples))
+            pieces.append((gap, None))
+        self._pieces = pieces
+        #: Total samples in the timeline.
+        self.length = sum(n for n, _ in pieces)
+        self._piece = 0
+        self._offset = 0
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Write the next ``out.shape[0]`` timeline samples into the
+        1-D ``out``; positions past the end are zeroed."""
+        want = out.shape[0]
+        filled = 0
+        pieces = self._pieces
+        while filled < want and self._piece < len(pieces):
+            n, samples = pieces[self._piece]
+            take = min(want - filled, n - self._offset)
+            dst = out[filled : filled + take]
+            if samples is None:
+                np.multiply(
+                    self._rng.normal(0.0, 1.0, take), self._scale, out=dst
+                )
+            else:
+                dst[:] = samples[self._offset : self._offset + take]
+            filled += take
+            self._offset += take
+            if self._offset == n:
+                self._piece += 1
+                self._offset = 0
+        out[filled:] = 0.0
+
+
 def assemble_timeline(
     config: FleetConfig,
     rate: float,
@@ -495,24 +562,17 @@ def assemble_timeline(
 ) -> np.ndarray:
     """One device's full audio timeline: lead-in, utterances, gaps.
 
-    Shared verbatim by the scalar loop (:func:`drive_stream`) and the
-    vectorized kernel, so both paths consume the identical generator
-    draws — the first link in their bitwise-parity chain.
+    The eager drain of :class:`TimelineSource`, which the vectorized
+    kernel reads chunk by chunk instead: one definition of the
+    timeline, so the scalar loop (:func:`drive_stream`) and the kernel
+    consume the identical generator draws. The first link in their
+    bitwise-parity chain is therefore numpy's chunked-draw
+    equivalence for ``Generator.normal``.
     """
-    mean_rms = float(
-        np.mean([recording.rms() for recording in recordings])
-    )
-    background_rms = config.background_ratio * max(mean_rms, 1e-12)
-
-    def ambient(duration_s: float) -> np.ndarray:
-        n = int(round(duration_s * rate))
-        return rng.normal(0.0, 1.0, n) * background_rms
-
-    pieces = [ambient(config.lead_in_s)]
-    for recording in recordings:
-        pieces.append(recording.samples)
-        pieces.append(ambient(config.gap_s))
-    return np.concatenate(pieces)
+    source = TimelineSource(config, rate, recordings, rng)
+    timeline = np.empty(source.length, dtype=np.float64)
+    source.read_into(timeline)
+    return timeline
 
 
 def drive_stream(

@@ -9,6 +9,10 @@ module is the RVH/Harmonia-shaped rewrite of that hot loop: a whole
 *group* of streams advances in lockstep, and each cycle's work runs
 as ``(n_streams, ...)`` NumPy ops —
 
+* each stream's audio is read chunk by chunk from its
+  :class:`~repro.stream.fleet.TimelineSource`, so a group holds one
+  ``(n_streams, chunk)`` block rather than whole timelines and its
+  memory does not grow with ``gap_s``;
 * chunk ingestion is one 2-D write into a shared ring
   (:class:`~repro.stream.chunker.ChunkedStreamBatch`) and one
   ``frame_rms_matrix`` reduction;
@@ -31,7 +35,12 @@ classification literature prescribes.
 
 The contract is the fleet's usual one, extended: every per-stream
 digest is **bitwise identical** to :func:`drive_stream`'s for any
-grouping of streams into kernel batches. Each vectorised stage is
+grouping of streams into kernel batches. The chain starts at the
+audio: the kernel draws each ambient span in chunk-sized pieces where
+the scalar loop's :func:`~repro.stream.fleet.assemble_timeline`
+draws it whole, and numpy's ``Generator.normal`` yields the same
+values either way (pinned by name in
+``tests/stream/test_stream_timeline.py``). Each vectorised stage is
 row-wise bitwise equal to its scalar counterpart (batched FFT rows,
 matrix frame RMS, elementwise float64 state updates, band-masked DTW
 slabs), rows never exchange information, and the lockstep zero
@@ -62,7 +71,8 @@ from repro.stream.features import WelchAccumulator, welch_segment_psd
 from repro.stream.fleet import (
     FleetConfig,
     RawStreamRun,
-    assemble_timeline,
+    TimelineSource,
+    assemble_timeline,  # noqa: F401 -- the eager drain, re-exported
 )
 from repro.stream.guard import UtteranceOutcome
 from repro.stream.segmenter import (
@@ -117,15 +127,17 @@ class _StageClock:
 
     def stop(self, stage: str) -> None:
         if self.enabled:
-            ended = time.perf_counter()
-            elapsed = ended - self._started
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
+            self.record(stage, self._started, time.perf_counter())
+
+    def record(self, stage: str, started: float, ended: float) -> None:
+        """Account one window timed by the caller."""
+        if self.enabled:
+            self.seconds[stage] = (
+                self.seconds.get(stage, 0.0) + ended - started
+            )
             if self.tracer is not None:
                 self.tracer.record(
-                    stage,
-                    self._started,
-                    ended,
-                    parent_id=self.parent_id,
+                    stage, started, ended, parent_id=self.parent_id
                 )
 
 
@@ -151,11 +163,18 @@ def drive_stream_group(
     (optional) accumulates the kernel's per-stage wall time under
     mode ``"stream"``.
 
+    Each stream's timeline is read one chunk per cycle from its
+    :class:`~repro.stream.fleet.TimelineSource`, never materialised;
+    bitwise parity with the scalar loop's eager
+    :func:`~repro.stream.fleet.assemble_timeline` rests on chunked
+    ``Generator.normal`` draws equalling one whole draw.
+
     Returns ``(runs, assemble_seconds)`` — the second element is the
-    wall time spent synthesising the group's ambient timelines, which
-    the fleet accounts as *prepare* (workload generation), not
-    streaming wall: a deployment receives its audio, it does not draw
-    it from a generator.
+    wall time spent producing the group's timelines (source set-up
+    plus every cycle's chunk fill, ambient draws included), which the
+    fleet accounts as *prepare* (workload generation), not streaming
+    wall: a deployment receives its audio, it does not draw it from a
+    generator.
     """
     n_group = len(indices)
     if not (
@@ -192,26 +211,16 @@ def drive_stream_group(
     clock = _StageClock(profile is not None, tracer, group_id)
 
     assemble_started = time.perf_counter()
-    timelines = []
-    units = []
-    for recordings, seq in zip(recordings_by_stream, seed_seqs):
-        rng = np.random.default_rng(seq)
-        timelines.append(assemble_timeline(config, rate, recordings, rng))
-        units.append(recordings[0].unit)
-    assemble_seconds = time.perf_counter() - assemble_started
-    if clock.enabled:
-        clock.seconds["assemble"] = (
-            clock.seconds.get("assemble", 0.0) + assemble_seconds
-        )
-    if tracer is not None:
-        tracer.record(
-            "assemble",
-            assemble_started,
-            assemble_started + assemble_seconds,
-            parent_id=group_id,
-        )
+    sources = [
+        TimelineSource(config, rate, recordings, np.random.default_rng(seq))
+        for recordings, seq in zip(recordings_by_stream, seed_seqs)
+    ]
+    units = [recordings[0].unit for recordings in recordings_by_stream]
+    assemble_ended = time.perf_counter()
+    assemble_seconds = assemble_ended - assemble_started
+    clock.record("assemble", assemble_started, assemble_ended)
     clock.start()
-    lens = np.array([t.shape[0] for t in timelines], dtype=np.int64)
+    lens = np.array([source.length for source in sources], dtype=np.int64)
     max_len = int(lens.max())
     chunk = max(1, int(round(config.chunk_s * rate)))
     seg_cfg = segmenter_config or SegmenterConfig()
@@ -228,28 +237,25 @@ def drive_stream_group(
     # Per-row live-utterance state: (start_sample, WelchAccumulator).
     open_welch: list[WelchAccumulator | None] = [None] * n_group
     pending: list[list[_Pending]] = [[] for _ in range(n_group)]
-    block = np.zeros((n_group, chunk), dtype=np.float64)
-    lens_i = [int(n) for n in lens]
+    block = np.empty((n_group, chunk), dtype=np.float64)
     head = 0
     while head < max_len:
         nxt = min(head + chunk, max_len)
         k = nxt - head
 
+        # -- assemble: each row's next chunk from its source --------
+        # Exhausted rows read as zero padding. Producing the audio is
+        # workload generation, so its time joins assemble_seconds.
+        fill_started = time.perf_counter()
+        cycle = block[:, :k]
+        for source, row in zip(sources, cycle):
+            source.read_into(row)
+        fill_ended = time.perf_counter()
+        assemble_seconds += fill_ended - fill_started
+        clock.record("assemble", fill_started, fill_ended)
+
         # -- ingest: one lockstep push, one matrix frame-RMS --------
         clock.start()
-        cycle = block[:, :k]
-        for b in range(n_group):
-            # Rows whose timeline covers the whole cycle (the common
-            # case) overwrite their slot outright; only exhausted or
-            # partial rows pay for zero padding.
-            lb = lens_i[b]
-            if lb >= nxt:
-                cycle[b] = timelines[b][head:nxt]
-            elif head < lb:
-                cycle[b, : lb - head] = timelines[b][head:lb]
-                cycle[b, lb - head :] = 0.0
-            else:
-                cycle[b] = 0.0
         ring.push_block(cycle)
         head = nxt
         first, energies = ring.pending_frame_energies()
