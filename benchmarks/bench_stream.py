@@ -9,21 +9,17 @@ run-over-run trajectory:
   throughput number can never be quoted from a diverged
   implementation).
 * **Fleet throughput** — a mostly-idle device fleet (ambient with one
-  command per stream, the duty cycle real assistants see) run twice
-  on identical audio: once through the scalar per-stream loop (the
-  "before" reference), once through the structure-of-arrays kernel
-  (:mod:`repro.stream.kernel`). Each path makes ``REPEATS`` passes
-  and the fastest wall clock wins (min-of-N: interference only adds
-  time), with the digest checked across every pass. The headline
-  figure is ``sustained_streams``: stream-seconds of audio processed
-  per wall second, i.e. how many live 1x device streams this machine
-  holds.
-  Gates: the two digests are bitwise identical, and the kernel
-  sustains >= 250 streams. The kernel run also feeds a
-  :class:`~repro.sim.pipeline.StageProfile`, so the record's
-  top-level ``stages`` rows attribute wall time to ingest /
-  segment / welch / recognize / detect (printed by CI's perf-gates
-  step alongside the trial pipeline's breakdown).
+  command per stream, the duty cycle real assistants see) through the
+  structure-of-arrays guard kernel (:mod:`repro.stream.kernel`).
+  ``REPEATS`` passes; the fastest wall clock wins (min-of-N:
+  interference only adds time), with the digest checked across every
+  pass. The headline figure is ``sustained_streams``: stream-seconds
+  of audio processed per wall second, i.e. how many live 1x device
+  streams this machine holds. Gate: >= 250 streams. The run also
+  feeds a :class:`~repro.sim.pipeline.StageProfile`, so the record's
+  top-level ``stages`` rows attribute wall time to ingest / segment /
+  welch / recognize / detect (printed by CI's perf-gates step
+  alongside the trial pipeline's breakdown).
 * **Sharded fleet** — the same duty cycle scaled to every core
   through :class:`~repro.stream.shard.ShardedFleetSimulator`: one
   process shard per core, 120 streams per shard. Gates: the sharded
@@ -32,10 +28,10 @@ run-over-run trajectory:
   ``streams_per_core_per_second`` is the recorded trajectory figure.
 * **Mega fleet** (``--mega``, full runs only) — the ROADMAP's
   five-digit demonstration: 10,000 concurrent streams on the quick
-  duty cycle, sharded 120 streams per shard, vectorized — then the
-  whole fleet again through the scalar per-stream loop, whose digest
-  must match bitwise. Slow (it streams ~80k stream-seconds twice);
-  not part of the CI gate set.
+  duty cycle, sharded 120 streams per shard — then the whole fleet
+  again at half the shard count, whose digest must match bitwise.
+  Slow (it streams ~80k stream-seconds twice); not part of the CI
+  gate set.
 
 Every record embeds :func:`repro.sim.bench.machine_metadata` (cpu
 count, python, git sha), so trajectory points are comparable across
@@ -75,7 +71,8 @@ from repro.stream.shard import ShardedFleetSimulator
 
 #: The acceptance gate: live 1x device streams the machine must hold.
 #: Raised from 100 to 250 when the structure-of-arrays kernel landed
-#: (the scalar loop sustains ~120-150 on one core; the kernel ~400+).
+#: (the per-stream loop it replaced sustained ~120-150 on one core;
+#: the kernel ~400+).
 SUSTAINED_STREAMS_GATE = 250
 
 #: The sharded gate: live 1x streams each core must hold — sustaining
@@ -155,25 +152,12 @@ def bench_fleet(
 ) -> tuple[dict, StageProfile]:
     """Sustained concurrent streams on a mostly-idle fleet.
 
-    Runs the workload through both paths — scalar per-stream loop and
-    the structure-of-arrays kernel — so the record carries the honest
-    before/after on identical audio, and gates the digests against
-    each other: the headline number can never be quoted from a kernel
-    that diverged from the per-stream reference. Each path makes
-    ``REPEATS`` passes and the fastest wall clock is recorded
-    (min-of-N); every pass must produce the same digest.
+    ``REPEATS`` passes through the guard kernel; the fastest wall
+    clock is recorded (min-of-N) and every pass must produce the same
+    digest.
     """
     detector = train_detector(scenario, seed, n_trials=2)
-    scalar_config = _fleet_config(quick, seed, scenario, vectorized=False)
-    scalar = None
-    for _ in range(REPEATS):
-        gc.collect()
-        run = FleetSimulator(detector, scalar_config).run()
-        if scalar is not None and run.digest() != scalar.digest():
-            raise AssertionError("scalar fleet digest drifted between passes")
-        if scalar is None or run.wall_seconds < scalar.wall_seconds:
-            scalar = run
-    config = _fleet_config(quick, seed, scenario, vectorized=True)
+    config = _fleet_config(quick, seed, scenario)
     report = None
     profile = StageProfile()
     for _ in range(REPEATS):
@@ -201,14 +185,6 @@ def bench_fleet(
         "prepare_seconds": report.prepare_seconds,
         "realtime_factor": report.realtime_factor,
         "sustained_streams": sustained,
-        "scalar_wall_seconds": scalar.wall_seconds,
-        "scalar_sustained_streams": int(scalar.realtime_factor),
-        "kernel_speedup": (
-            scalar.wall_seconds / report.wall_seconds
-            if report.wall_seconds > 0
-            else 0.0
-        ),
-        "digest_identical": report.digest() == scalar.digest(),
         "utterances": report.n_utterances,
         "vetoed": report.n_vetoed,
         "executed": report.n_executed,
@@ -318,20 +294,20 @@ def bench_mega_fleet(seed: int, scenario: str) -> dict:
 
     The full fleet runs sharded through the structure-of-arrays kernel
     (120 streams per shard, the benched per-core load), then the whole
-    workload repeats through the scalar per-stream loop. The scalar
-    pass exists for one reason: its digest is the reference the
-    kernel's must equal bitwise at this scale — the acceptance
-    criterion that vectorization grouping never leaks into results,
-    demonstrated on the fleet size the ROADMAP targets rather than
-    the unit-test sizes.
+    workload repeats at half the shard count. The replay exists for
+    one reason: its digest must equal the first bitwise at this scale
+    — the acceptance criterion that partitioning and kernel grouping
+    never leak into results, demonstrated on the fleet size the
+    ROADMAP targets rather than the unit-test sizes.
     """
     detector = train_detector(scenario, seed, n_trials=2)
     shards = max(
         2, os.cpu_count() or 1, MEGA_STREAMS // STREAMS_PER_SHARD
     )
+    replay_shards = shards // 2
     cores = min(shards, os.cpu_count() or 1)
 
-    def config(vectorized: bool) -> FleetConfig:
+    def config(n_shards: int) -> FleetConfig:
         return FleetConfig(
             scenario=scenario,
             n_streams=MEGA_STREAMS,
@@ -345,12 +321,11 @@ def bench_mega_fleet(seed: int, scenario: str) -> dict:
             chunk_s=0.05,
             seed=seed + 5,
             workers=max(1, (os.cpu_count() or 2) // cores),
-            shards=shards,
-            vectorized=vectorized,
+            shards=n_shards,
         )
 
-    report = ShardedFleetSimulator(detector, config(True)).run()
-    scalar = ShardedFleetSimulator(detector, config(False)).run()
+    report = ShardedFleetSimulator(detector, config(shards)).run()
+    replay = ShardedFleetSimulator(detector, config(replay_shards)).run()
     sustained = int(report.realtime_factor)
     return {
         "workload": (
@@ -369,14 +344,8 @@ def bench_mega_fleet(seed: int, scenario: str) -> dict:
         # model of one core per shard — divide by shards, not by the
         # local core count.
         "streams_per_core_per_second": report.realtime_factor / shards,
-        "scalar_wall_seconds": scalar.wall_seconds,
-        "scalar_sustained_streams": int(scalar.realtime_factor),
-        "kernel_speedup": (
-            scalar.wall_seconds / report.wall_seconds
-            if report.wall_seconds > 0
-            else 0.0
-        ),
-        "digest_identical": report.digest() == scalar.digest(),
+        "replay_shards": replay_shards,
+        "digest_identical": report.digest() == replay.digest(),
         "digest": report.digest_hex(),
         "utterances": report.n_utterances,
         "vetoed": report.n_vetoed,
@@ -408,8 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         "--mega",
         action="store_true",
         help=f"also run the {MEGA_STREAMS}-stream sharded "
-        "demonstration (slow: streams the whole workload twice, "
-        "kernel and scalar, for the at-scale digest gate)",
+        "demonstration (slow: streams the whole workload twice, at "
+        "two shard counts, for the at-scale digest gate)",
     )
     parser.add_argument(
         "--output",
@@ -501,13 +470,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not fleet["digest_identical"]:
-        print(
-            "FAIL: structure-of-arrays kernel digest diverged from "
-            "the scalar per-stream loop",
-            file=sys.stderr,
-        )
-        return 1
     if not sharded["digest_identical"]:
         print(
             "FAIL: sharded fleet digest diverged from the unsharded "
@@ -517,8 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if mega is not None and not mega["digest_identical"]:
         print(
-            f"FAIL: {MEGA_STREAMS}-stream kernel digest diverged "
-            "from the scalar per-stream loop",
+            f"FAIL: {MEGA_STREAMS}-stream digest diverged between "
+            f"{mega['shards']} and {mega['replay_shards']} shards",
             file=sys.stderr,
         )
         return 1
@@ -542,9 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"ok: parity bitwise, {fleet['sustained_streams']} concurrent "
         f"streams sustained single-process "
-        f"({fleet['kernel_speedup']:.1f}x over the scalar loop's "
-        f"{fleet['scalar_sustained_streams']}, digests bitwise; mean "
-        f"latency {fleet['mean_latency_ms']:.0f} ms); sharded "
+        f"(mean latency {fleet['mean_latency_ms']:.0f} ms); sharded "
         f"digest bitwise, {sharded['sustained_streams']} streams over "
         f"{sharded['shards']} shards "
         f"({sharded['streams_per_core_per_second']:.0f}/core/s, "
@@ -555,9 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"ok: mega fleet held {mega['n_streams']} concurrent "
             f"streams over {mega['shards']} shards "
-            f"({mega['sustained_streams']} sustained, "
-            f"{mega['kernel_speedup']:.1f}x over scalar, digest "
-            "bitwise at scale)",
+            f"({mega['sustained_streams']} sustained, digest bitwise "
+            f"against {mega['replay_shards']} shards at scale)",
             file=sys.stderr,
         )
     return 0

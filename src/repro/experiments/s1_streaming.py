@@ -12,7 +12,9 @@ this experiment measures the streaming deployment
   offline :class:`~repro.defense.guard.GuardedVoiceAssistant` exactly
   — the subsystem's core guarantee, for every registered scenario.
 * **Fleet rows** — a :class:`~repro.stream.fleet.FleetSimulator` run:
-  concurrent device streams with online VAD segmentation, reporting
+  concurrent device streams through the structure-of-arrays guard
+  kernel (:mod:`repro.stream.kernel`) with online VAD segmentation,
+  reporting
   utterance dispositions and the *stream-time* detection latency
   (audio time between an utterance's end and the verdict). Stream
   time, unlike wall clock, is deterministic, which keeps this table
@@ -166,16 +168,16 @@ def run(
     """Parity, dispositions and stream-time latency of the online guard.
 
     ``shards`` routes the fleet through the process-sharded driver
-    (:class:`~repro.stream.shard.ShardedFleetSimulator`). The engine's
-    batch flag selects the fleet's structure-of-arrays kernel
-    (``--no-batch`` streams every device through the scalar per-stream
-    guard instead). ``streams`` overrides the fleet size. The rendered
-    table — dispositions, latencies and the fleet digest row — is
-    byte-identical for every shard count *and* both kernel paths at
-    any fleet size (the CI shard-determinism job diffs ``--shards
-    1/2/4`` and ``--no-batch`` stdout); wall-clock figures
-    (streams/core/second, per-shard balance) go to stderr, like the
-    CLI's timing lines.
+    (:class:`~repro.stream.shard.ShardedFleetSimulator`). The fleet
+    always runs the guard kernel; the engine's batch flag
+    (``--no-batch``) only selects the scalar or batched dataset build
+    of the detector that guards it. ``streams`` overrides the fleet
+    size. The rendered table — dispositions, latencies and the fleet
+    digest row — is byte-identical for every shard count *and* both
+    detector builds at any fleet size (the CI shard-determinism job
+    diffs ``--shards 1/2/4`` and ``--no-batch`` stdout); wall-clock
+    figures (streams/core/second, per-shard balance) go to stderr,
+    like the CLI's timing lines.
     """
     spec = get_scenario(scenario)
     chunk_ms = (10, 50, 250) if quick else (5, 10, 50, 250)
@@ -222,7 +224,6 @@ def run(
             seed=seed + 2,
             workers=4,
             shards=shards,
-            vectorized=eng.batch,
         )
         if shards == 1:
             report = FleetSimulator(detector, fleet_config).run()

@@ -7,35 +7,46 @@ delimited causally, and the defense's features accumulate
 incrementally so the verdict lands a bounded, deterministic time
 after the speech ends.
 
+There is one streaming engine, the structure-of-arrays guard kernel;
+the fleet drives it a group of streams at a time and the gated guard
+one stream at a time.
+
 ``chunker``
-    :class:`~repro.stream.chunker.ChunkedStream`, the
-    absolute-indexed ring buffer and its frame grid (shared with the
-    offline VAD through :mod:`repro.dsp.framing`).
+    :class:`~repro.stream.chunker.ChunkedStreamBatch`, the
+    absolute-indexed ring buffer over a group of streams and its
+    frame grid (shared with the offline VAD through
+    :mod:`repro.dsp.framing`).
 ``segmenter``
-    :class:`~repro.stream.segmenter.OnlineSegmenter`, the causal
-    VAD gate with hysteresis and a noise-floor tracker.
+    :class:`~repro.stream.segmenter.OnlineSegmenterBatch`, the causal
+    VAD gate with hysteresis and a noise-floor tracker, one row per
+    stream.
 ``features``
     :class:`~repro.stream.features.WelchAccumulator` and
     :class:`~repro.stream.features.StreamingTraceExtractor` —
     incremental defense features, bitwise-matched to the offline
     estimators at utterance close.
+``kernel``
+    :class:`~repro.stream.kernel.StreamGroup` (ring, segmenter and
+    Welch state; one cycle per push) and
+    :func:`~repro.stream.kernel.decide_utterances` — the engine —
+    plus :func:`~repro.stream.kernel.drive_stream_group`, which runs
+    a fleet group's timelines through them.
 ``guard``
     :class:`~repro.stream.guard.StreamingGuard`, the online guarded
     assistant (same :class:`~repro.defense.guard.GuardedOutcome`, same
-    decision policy as the offline one).
+    decision policy as the offline one); gated, a one-row kernel
+    group.
 ``fleet``
     :class:`~repro.stream.fleet.FleetSimulator`, hundreds of
     concurrent device streams multiplexed over the batched trial
-    pipeline, with per-stream ``SeedSequence`` randomness and
-    worker-count-independent results.
+    pipeline and the kernel, with per-stream ``SeedSequence``
+    randomness and worker-count-independent results.
 ``shard``
     :class:`~repro.stream.shard.ShardedFleetSimulator`, the fleet
-    partitioned into per-process shards with commit-queue result
-    draining — digests bitwise identical to the unsharded simulator
-    for every shard × worker count.
+    partitioned into per-process shards — digests bitwise identical
+    to the unsharded simulator for every shard × worker count.
 """
 
-from repro.stream.chunker import ChunkedStream
 from repro.stream.features import (
     StreamingTraceExtractor,
     WelchAccumulator,
@@ -50,7 +61,6 @@ from repro.stream.fleet import (
 )
 from repro.stream.guard import StreamingGuard, UtteranceOutcome
 from repro.stream.shard import (
-    CommitQueue,
     ShardAccumulator,
     ShardedFleetSimulator,
     ShardResult,
@@ -58,21 +68,12 @@ from repro.stream.shard import (
     plan_shards,
     run_shard,
 )
-from repro.stream.segmenter import (
-    OnlineSegmenter,
-    SegmenterConfig,
-    UtteranceClosed,
-    UtteranceOpened,
-)
+from repro.stream.segmenter import SegmenterConfig
 
 __all__ = [
-    "ChunkedStream",
     "WelchAccumulator",
     "StreamingTraceExtractor",
-    "OnlineSegmenter",
     "SegmenterConfig",
-    "UtteranceOpened",
-    "UtteranceClosed",
     "StreamingGuard",
     "UtteranceOutcome",
     "FleetConfig",
@@ -81,7 +82,6 @@ __all__ = [
     "StreamResult",
     "UtteranceDigest",
     "synthesize_utterances",
-    "CommitQueue",
     "ShardAccumulator",
     "ShardResult",
     "ShardTask",

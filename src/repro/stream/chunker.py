@@ -2,10 +2,12 @@
 
 A live device hands audio to the guard as it arrives — in whatever
 chunk sizes its driver produces, never aligned to analysis frames.
-:class:`ChunkedStream` absorbs that: arbitrary-sized pushes land in a
-power-of-two ring buffer addressed by *absolute* sample index, and the
-consumers (the online segmenter, the utterance extractor) read back
-absolute ranges and explicitly release what they no longer need.
+:class:`ChunkedStreamBatch` absorbs that for a whole lockstep group of
+streams (one row each; the gated guard is a one-row group):
+arbitrary-sized pushes land in a power-of-two ring buffer addressed by
+*absolute* sample index, and the consumers (the segmenter, the Welch
+gather, the utterance close) read back absolute ranges and explicitly
+release what they no longer need.
 
 Two properties matter for the subsystem's bitwise-parity guarantee:
 
@@ -25,12 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.framing import (
-    frame_count,
-    frame_params,
-    frame_rms,
-    frame_rms_matrix,
-)
+from repro.dsp.framing import frame_count, frame_params, frame_rms_matrix
 from repro.errors import StreamError
 
 #: Initial ring capacity in frames (grows on demand).
@@ -44,196 +41,24 @@ def _next_pow2(n: int) -> int:
     return power
 
 
-class ChunkedStream:
-    """Absolute-indexed ring buffer over a device's sample stream.
-
-    Parameters
-    ----------
-    sample_rate:
-        The device rate of the incoming audio.
-    frame_length_s, hop_length_s:
-        The analysis frame grid (defaults match the offline VAD).
-
-    Notes
-    -----
-    ``head`` is the total number of samples ever pushed; ``tail`` is
-    the oldest absolute index still retained. ``read(start, end)``
-    returns a fresh contiguous copy of ``[start, end)``; ``release``
-    advances ``tail``. :meth:`pending_frame_energies` walks the frame
-    grid over newly-complete frames — the hot per-push path of the
-    fleet simulator, one vectorised RMS over the new frames.
-    """
-
-    def __init__(
-        self,
-        sample_rate: float,
-        frame_length_s: float = 0.02,
-        hop_length_s: float = 0.01,
-    ) -> None:
-        if sample_rate <= 0:
-            raise StreamError(
-                f"sample_rate must be positive, got {sample_rate}"
-            )
-        self.sample_rate = float(sample_rate)
-        self.frame_len, self.hop = frame_params(
-            sample_rate, frame_length_s, hop_length_s
-        )
-        capacity = _next_pow2(_MIN_CAPACITY_FRAMES * self.frame_len)
-        self._buf = np.zeros(capacity, dtype=np.float64)
-        self._head = 0  # total samples pushed
-        self._tail = 0  # oldest retained absolute index
-        self._rebase = 0  # absolute index mapped to ring slot 0
-        self._frames_emitted = 0  # frames handed out so far
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def head(self) -> int:
-        """Total samples pushed so far (absolute end of stream)."""
-        return self._head
-
-    @property
-    def tail(self) -> int:
-        """Oldest absolute sample index still readable."""
-        return self._tail
-
-    @property
-    def capacity(self) -> int:
-        """Current ring size in samples (power of two, grows)."""
-        return int(self._buf.shape[0])
-
-    @property
-    def frames_emitted(self) -> int:
-        """Frames already returned by :meth:`pending_frame_energies`."""
-        return self._frames_emitted
-
-    # -- writing -------------------------------------------------------
-
-    def push(self, samples: np.ndarray) -> int:
-        """Append a chunk of samples; returns the new ``head``.
-
-        Chunks of any size are accepted, including empty ones. The
-        ring doubles when retained + incoming would not fit, so a push
-        never overwrites unreleased samples.
-        """
-        chunk = np.asarray(samples, dtype=np.float64)
-        if chunk.ndim != 1:
-            raise StreamError(
-                f"push expects a 1-D chunk, got shape {chunk.shape}"
-            )
-        if chunk.size == 0:
-            return self._head
-        if not np.all(np.isfinite(chunk)):
-            raise StreamError("stream samples must be finite")
-        needed = (self._head - self._tail) + chunk.size
-        if needed > self.capacity:
-            self._grow(needed)
-        start = self._index(self._head)
-        first = min(chunk.size, self.capacity - start)
-        self._buf[start : start + first] = chunk[:first]
-        if first < chunk.size:
-            self._buf[: chunk.size - first] = chunk[first:]
-        self._head += chunk.size
-        return self._head
-
-    def _grow(self, needed: int) -> None:
-        fresh = np.zeros(_next_pow2(needed), dtype=np.float64)
-        retained = self._head - self._tail
-        if retained:
-            fresh[:retained] = self._linearized(self._tail, self._head)
-        # Re-anchor the address space: the old tail now lives at ring
-        # slot 0 of the larger buffer.
-        self._buf = fresh
-        self._rebase = self._tail
-
-    # -- reading -------------------------------------------------------
-
-    def _index(self, absolute: int) -> int:
-        return (absolute - self._rebase) & (self.capacity - 1)
-
-    def _linearized(self, start: int, end: int) -> np.ndarray:
-        """Contiguous copy of retained ``[start, end)``."""
-        n = end - start
-        out = np.empty(n, dtype=np.float64)
-        i = self._index(start)
-        first = min(n, self.capacity - i)
-        out[:first] = self._buf[i : i + first]
-        if first < n:
-            out[first:] = self._buf[: n - first]
-        return out
-
-    def read(self, start: int, end: int) -> np.ndarray:
-        """Copy of absolute sample range ``[start, end)``.
-
-        Raises :class:`~repro.errors.StreamError` when the range runs
-        outside the retained window — silently returning zeros there
-        would corrupt an utterance without any signal to the caller.
-        """
-        if start > end:
-            raise StreamError(
-                f"read range inverted: [{start}, {end})"
-            )
-        if start < self._tail or end > self._head:
-            raise StreamError(
-                f"read [{start}, {end}) outside retained window "
-                f"[{self._tail}, {self._head})"
-            )
-        return self._linearized(start, end)
-
-    def release(self, up_to: int) -> None:
-        """Allow samples below ``up_to`` to be overwritten."""
-        if up_to > self._head:
-            raise StreamError(
-                f"cannot release beyond head ({up_to} > {self._head})"
-            )
-        self._tail = max(self._tail, up_to)
-
-    # -- frame grid ----------------------------------------------------
-
-    def pending_frame_energies(self) -> tuple[int, np.ndarray]:
-        """RMS energies of frames completed since the last call.
-
-        Returns ``(first_frame_index, energies)``; the energies are
-        computed by :func:`repro.dsp.framing.frame_rms` over the
-        buffered samples, so frame ``i`` here equals frame ``i`` of
-        the offline :func:`repro.speech.vad.frame_energies` of the
-        same stream bitwise. Frames are never re-emitted; the caller
-        must not have released past the next frame's start.
-        """
-        total = frame_count(self._head, self.frame_len, self.hop)
-        first = self._frames_emitted
-        if total <= first:
-            return first, np.empty(0, dtype=np.float64)
-        start = first * self.hop
-        if start < self._tail:
-            raise StreamError(
-                f"frame {first} starts at released sample {start} "
-                f"(tail {self._tail}); release() ran ahead of the "
-                "frame grid"
-            )
-        span = self._linearized(start, self._head)
-        energies = frame_rms(span, self.frame_len, self.hop)
-        self._frames_emitted = total
-        return first, energies
-
-
 class ChunkedStreamBatch:
     """One ring buffer shared by a whole group of lockstep streams.
 
-    The structure-of-arrays counterpart of :class:`ChunkedStream` for
-    the fleet kernel (:mod:`repro.stream.kernel`): ``n_streams`` rows
-    advance with one global ``head`` — every cycle pushes the same
-    number of samples to every row (shorter timelines are zero-padded
-    by the kernel and masked at the frame level) — so the ring is a
-    single ``(n_streams, capacity)`` array and a push is one 2-D
-    write instead of ``n_streams`` scalar ones.
+    The guard kernel's (:mod:`repro.stream.kernel`) ring:
+    ``n_streams`` rows advance with one global ``head`` — every cycle
+    pushes the same number of samples to every row (shorter timelines
+    are zero-padded by the kernel and masked at the frame level) — so
+    the ring is a single ``(n_streams, capacity)`` array and a push is
+    one 2-D write.
 
-    Addressing, growth and the frame grid are :class:`ChunkedStream`'s
-    exactly: absolute sample indexing modulo a power-of-two capacity,
-    doubling growth that re-anchors ``tail`` to ring slot 0, and
-    :meth:`pending_frame_energies` delegating to the shared
-    :mod:`repro.dsp.framing` arithmetic — per row bitwise identical
-    to the scalar ring (pinned by the kernel unit tests).
+    ``head`` is the total number of samples pushed per row; ``tail``
+    the oldest absolute index still retained. Addressing is absolute
+    sample indexing modulo a power-of-two capacity; growth doubles and
+    re-anchors ``tail`` to ring slot 0; :meth:`pending_frame_energies`
+    delegates to the shared :mod:`repro.dsp.framing` arithmetic, so
+    row ``i``'s frames are bitwise the offline
+    :func:`repro.speech.vad.frame_energies` of that row's samples
+    (pinned by the kernel unit tests).
     """
 
     def __init__(
@@ -402,9 +227,10 @@ class ChunkedStreamBatch:
 
         Returns ``(first_frame_index, energies)`` with ``energies`` of
         shape ``(n_streams, n_new)`` — row ``i`` bitwise identical to
-        the scalar ring's :meth:`ChunkedStream.pending_frame_energies`
-        for the same row's samples, via the shared
-        :func:`repro.dsp.framing.frame_rms_matrix` reduction.
+        the offline VAD's frame energies of the same row's samples,
+        via the shared :func:`repro.dsp.framing.frame_rms_matrix`
+        reduction. Frames are never re-emitted; the caller must not
+        have released past the next frame's start.
         """
         total = frame_count(self._head, self.frame_len, self.hop)
         first = self._frames_emitted

@@ -5,36 +5,34 @@ devices; the per-request fast path must therefore be independent and
 conflict-free (the Harmonia lesson: near-linear scaling comes from
 state that multiplexes without coordination). The streaming guard has
 exactly that shape — all per-stream state lives in the stream's own
-ring buffer, segmenter and extractor; the recogniser and detector are
-immutable after enrollment/fit and shared read-only.
+row of the kernel's ring, segmenter and Welch accumulators; the
+recogniser and detector are immutable after enrollment/fit and shared
+read-only.
 
 :class:`FleetSimulator` exercises it: ``n_streams`` simulated devices,
 each an independent audio timeline (ambient lead-in, utterances,
-ambient gaps) pushed chunk-by-chunk through its own
-:class:`~repro.stream.guard.StreamingGuard`. The utterance recordings
-are synthesised through the *batched*
-:class:`~repro.sim.pipeline.TrialPipeline` — one transmission per
-class, every stream's per-utterance variation riding the stacked
-per-trial stages — with per-stream generators spawned from one
-:class:`numpy.random.SeedSequence`, so the whole fleet is a pure
-function of its config:
+ambient gaps) pushed chunk-by-chunk through the structure-of-arrays
+guard kernel (:mod:`repro.stream.kernel`), ``batch_streams`` devices
+per lockstep group. The utterance recordings are synthesised through
+the *batched* :class:`~repro.sim.pipeline.TrialPipeline` — one
+transmission per class, every stream's per-utterance variation riding
+the stacked per-trial stages — with per-stream generators spawned
+from one :class:`numpy.random.SeedSequence`, so the whole fleet is a
+pure function of its config:
 
 * verdicts, boundaries and stream-time latencies are bitwise
-  identical for every ``workers`` value (threads change wall clock,
-  never results — the determinism test pins this);
+  identical for every ``workers`` and ``batch_streams`` value
+  (threads and grouping change wall clock, never results — the
+  determinism and kernel suites pin this);
 * wall-clock throughput is reported separately
   (:attr:`FleetReport.wall_seconds`), which is what
   ``benchmarks/bench_stream.py`` records in ``BENCH_stream.json``.
 
-Within one simulator, streams are processed by a thread pool.
-Threads, not processes, are the right model *inside* a core's worth
-of work: the heavy per-chunk DSP is NumPy/SciPy work that releases
-the GIL, and sharing the enrolled recogniser and fitted detector
-read-only costs nothing, where per-process copies would dominate
-start-up. To scale *across* cores, :mod:`repro.stream.shard`
-partitions the fleet into per-process shards, each running this
-module's stream loop over its own partition — which is why the loop
-body (:func:`drive_stream`), the per-class synthesis
+Within one simulator, kernel groups are processed by a thread pool.
+To scale *across* cores, :mod:`repro.stream.shard` partitions the
+fleet into per-process shards, each running this module's stream
+dispatcher over its own partition — which is why the dispatcher
+(:func:`drive_streams`), the per-class synthesis
 (:func:`synthesize_utterances`, emission-cached per process through
 :mod:`repro.sim.engine`) and the result containers here are all
 module-level and picklable.
@@ -46,6 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,8 +62,10 @@ from repro.sim.engine import EmissionSpec, cached_voice
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.spec import RIG_POSITION, get_scenario
 from repro.speech.recognizer import KeywordRecognizer
-from repro.stream.guard import StreamingGuard, UtteranceOutcome
 from repro.stream.segmenter import SegmenterConfig
+
+if TYPE_CHECKING:
+    from repro.stream.kernel import UtteranceOutcome
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,12 @@ class FleetConfig:
         single-shard loop and ignores this knob; results are bitwise
         identical for every value (the shard determinism suite and CI
         job pin it).
-    vectorized:
-        Drive streams through the structure-of-arrays kernel
-        (:mod:`repro.stream.kernel`) instead of the per-stream scalar
-        loop. Results are bitwise identical either way — the knob
-        exists for the differential oracle and for benchmarking the
-        scalar baseline.
     batch_streams:
-        Streams per kernel lockstep group (vectorized mode). Any
-        value produces the identical digest. Timelines are read
-        chunk by chunk, so a group's working set is
-        O(``batch_streams`` x (chunk + ring)) whatever ``gap_s``
-        is; the knob sets batched-op width, not timeline memory.
+        Streams per kernel lockstep group. Any value produces the
+        identical digest. Timelines are read chunk by chunk, so a
+        group's working set is O(``batch_streams`` x (chunk + ring))
+        whatever ``gap_s`` is; the knob sets batched-op width, not
+        timeline memory.
     """
 
     scenario: str = "free_field"
@@ -140,7 +135,6 @@ class FleetConfig:
     seed: int = 0
     workers: int = 1
     shards: int = 1
-    vectorized: bool = True
     batch_streams: int = 64
 
     def __post_init__(self) -> None:
@@ -462,14 +456,11 @@ def fleet_seed_plan(
 
 @dataclass
 class RawStreamRun:
-    """One stream's undigested outcome — the unit the commit queue
-    drains.
+    """One stream's undigested outcome, as the kernel returns it.
 
-    The driving thread produces this (cheap: references, no
-    summarisation) and moves on to its next stream; converting the
-    guard outcomes into the deterministic :class:`StreamResult`
-    digest happens off the ingestion hot path (in the shard's commit
-    queue, or inline in the unsharded simulator).
+    :meth:`commit` converts the guard outcomes into the deterministic
+    :class:`StreamResult` digest once a dispatcher has collected every
+    run.
     """
 
     index: int
@@ -562,94 +553,17 @@ def assemble_timeline(
 ) -> np.ndarray:
     """One device's full audio timeline: lead-in, utterances, gaps.
 
-    The eager drain of :class:`TimelineSource`, which the vectorized
-    kernel reads chunk by chunk instead: one definition of the
-    timeline, so the scalar loop (:func:`drive_stream`) and the kernel
-    consume the identical generator draws. The first link in their
-    bitwise-parity chain is therefore numpy's chunked-draw
-    equivalence for ``Generator.normal``.
+    The eager drain of :class:`TimelineSource`, which the kernel reads
+    chunk by chunk instead: one definition of the timeline, so the
+    offline oracle (a verdict equals the offline guard on the
+    utterance's span of this array) and the kernel consume the
+    identical generator draws. The first link in that bitwise-parity
+    chain is numpy's chunked-draw equivalence for ``Generator.normal``.
     """
     source = TimelineSource(config, rate, recordings, rng)
     timeline = np.empty(source.length, dtype=np.float64)
     source.read_into(timeline)
     return timeline
-
-
-def drive_stream(
-    config: FleetConfig,
-    detector: InaudibleVoiceDetector,
-    segmenter_config: SegmenterConfig | None,
-    index: int,
-    rate: float,
-    recognizer: KeywordRecognizer,
-    recordings: list[Signal],
-    attack_mask: np.ndarray,
-    seed_seq: np.random.SeedSequence,
-    timeline: np.ndarray | None = None,
-) -> RawStreamRun:
-    """One device's whole timeline through its own guard.
-
-    Module-level (picklable by reference) and a pure function of its
-    arguments, so the unsharded thread pool and the per-process shard
-    workers execute the identical loop body. This is the scalar
-    reference path; :func:`drive_streams` dispatches to it or to the
-    structure-of-arrays kernel per ``config.vectorized``.
-
-    ``timeline`` (optional) supplies a pre-assembled timeline —
-    exactly ``assemble_timeline(config, rate, recordings, rng)`` for
-    this stream's generator — so the dispatcher can account synthesis
-    as prepare time; omitted, the stream assembles its own.
-    """
-    if timeline is None:
-        rng = np.random.default_rng(seed_seq)
-        timeline = assemble_timeline(config, rate, recordings, rng)
-    samples = timeline
-    guard = StreamingGuard(
-        recognizer,
-        detector,
-        rate,
-        unit=recordings[0].unit,
-        gated=True,
-        segmenter_config=segmenter_config,
-    )
-    chunk = max(1, int(round(config.chunk_s * rate)))
-    tracer = current_tracer()
-    stream_started = time.perf_counter() if tracer is not None else 0.0
-    outcomes: list[UtteranceOutcome] = []
-    for start in range(0, samples.shape[0], chunk):
-        outcomes.extend(guard.push(samples[start : start + chunk]))
-    outcomes.extend(guard.flush())
-    if tracer is not None:
-        ended = time.perf_counter()
-        stream_span = tracer.record(
-            "stream",
-            stream_started,
-            ended,
-            stream=index,
-            utterances=len(outcomes),
-        )
-        # Same marker shape as the kernel's decide phase: zero wall
-        # width, stream-time latency in the attributes.
-        for outcome in outcomes:
-            tracer.record(
-                "utterance",
-                ended,
-                ended,
-                parent_id=stream_span.span_id,
-                stream=index,
-                latency_s=(
-                    outcome.emitted_at_sample - outcome.end_sample
-                )
-                / rate,
-                accepted=bool(outcome.outcome.recognition.accepted),
-                forced=outcome.forced,
-            )
-    return RawStreamRun(
-        index=index,
-        is_attack=tuple(bool(flag) for flag in attack_mask),
-        duration_s=samples.shape[0] / rate,
-        outcomes=outcomes,
-    )
 
 
 def check_fleet_rate(recordings: list[Signal]) -> float:
@@ -676,25 +590,27 @@ def drive_streams(
     emit,
     profile=None,
 ) -> float:
-    """Drive a partition of streams, scalar or vectorized.
+    """Drive a partition of streams through kernel groups.
 
     The single streaming dispatcher: the unsharded simulator and every
     shard worker (:func:`repro.stream.shard.run_shard`) route through
-    it, so ``config.vectorized`` composes with sharding — each shard
-    process runs its own kernel groups over its own partition.
+    it, so each shard process runs its own kernel groups of
+    ``config.batch_streams`` streams over its own partition.
 
     ``stream_indices[pos]`` is the *global* index of local position
     ``pos``; ``recordings``/``attack_mask`` are laid out per local
     slot (``pos * utterances_per_stream`` onward). Every finished
-    stream's :class:`RawStreamRun` is handed to ``emit`` (a commit
-    queue's ``put``, or a plain list append) — completion order may
-    vary with threading, but each run's content never does.
+    stream's :class:`RawStreamRun` is handed to ``emit`` (a list
+    append) — completion order may vary with threading, but each
+    run's content never does.
 
     Returns the seconds spent *assembling* timelines (ambient
-    synthesis — workload generation, identical draws on both paths),
-    which callers subtract from their streaming wall clock and account
-    as prepare time alongside utterance synthesis.
+    synthesis — workload generation), which callers subtract from
+    their streaming wall clock and account as prepare time alongside
+    utterance synthesis.
     """
+    from repro.stream import kernel  # deferred: kernel imports us
+
     per = config.utterances_per_stream
     n_local = len(stream_indices)
     # The nesting stack is thread-local: capture the dispatcher's
@@ -703,95 +619,43 @@ def drive_streams(
     dispatch_parent = (
         tracer.current_parent() if tracer is not None else None
     )
+    group_bounds = list(range(0, n_local, config.batch_streams))
 
-    if config.vectorized:
-        from repro.stream import kernel  # deferred: kernel imports us
-
-        group_bounds = list(
-            range(0, n_local, config.batch_streams)
-        )
-
-        def drive_group(lo: int) -> float:
-            hi = min(lo + config.batch_streams, n_local)
-            positions = range(lo, hi)
-            context = (
-                tracer.attached(dispatch_parent)
-                if tracer is not None
-                else nullcontext()
-            )
-            with context:
-                runs, assembled = kernel.drive_stream_group(
-                    config,
-                    detector,
-                    segmenter_config,
-                    [int(stream_indices[pos]) for pos in positions],
-                    rate,
-                    recognizer,
-                    [
-                        recordings[pos * per : (pos + 1) * per]
-                        for pos in positions
-                    ],
-                    [
-                        attack_mask[pos * per : (pos + 1) * per]
-                        for pos in positions
-                    ],
-                    [stream_seqs[pos] for pos in positions],
-                    profile=profile,
-                )
-            for run in runs:
-                emit(run)
-            return assembled
-
-        if config.workers == 1 or len(group_bounds) == 1:
-            return sum(drive_group(lo) for lo in group_bounds)
-        with ThreadPoolExecutor(
-            max_workers=config.workers
-        ) as pool:
-            return sum(pool.map(drive_group, group_bounds))
-
-    def drive(pos: int) -> float:
-        started = time.perf_counter()
-        rng = np.random.default_rng(stream_seqs[pos])
-        timeline = assemble_timeline(
-            config,
-            rate,
-            recordings[pos * per : (pos + 1) * per],
-            rng,
-        )
-        assembled = time.perf_counter() - started
-        if tracer is not None:
-            tracer.record(
-                "assemble",
-                started,
-                started + assembled,
-                parent_id=dispatch_parent,
-                stream=int(stream_indices[pos]),
-            )
+    def drive_group(lo: int) -> float:
+        hi = min(lo + config.batch_streams, n_local)
+        positions = range(lo, hi)
         context = (
             tracer.attached(dispatch_parent)
             if tracer is not None
             else nullcontext()
         )
         with context:
-            run = drive_stream(
+            runs, assembled = kernel.drive_stream_group(
                 config,
                 detector,
                 segmenter_config,
-                int(stream_indices[pos]),
+                [int(stream_indices[pos]) for pos in positions],
                 rate,
                 recognizer,
-                recordings[pos * per : (pos + 1) * per],
-                attack_mask[pos * per : (pos + 1) * per],
-                stream_seqs[pos],
-                timeline=timeline,
+                [
+                    recordings[pos * per : (pos + 1) * per]
+                    for pos in positions
+                ],
+                [
+                    attack_mask[pos * per : (pos + 1) * per]
+                    for pos in positions
+                ],
+                [stream_seqs[pos] for pos in positions],
+                profile=profile,
             )
-        emit(run)
+        for run in runs:
+            emit(run)
         return assembled
 
-    if config.workers == 1:
-        return sum(drive(pos) for pos in range(n_local))
+    if config.workers == 1 or len(group_bounds) == 1:
+        return sum(drive_group(lo) for lo in group_bounds)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return sum(pool.map(drive, range(n_local)))
+        return sum(pool.map(drive_group, group_bounds))
 
 
 class FleetSimulator:
@@ -825,16 +689,12 @@ class FleetSimulator:
 
         ``profile`` (an optional
         :class:`~repro.sim.pipeline.StageProfile`) accumulates the
-        vectorized kernel's per-stage wall time — how the streaming
+        kernel's per-stage wall time — how the streaming
         benchmark attributes ingestion vs segmentation vs Welch vs
         decide cost.
         """
         config = self.config
-        with maybe_span(
-            "fleet",
-            streams=config.n_streams,
-            vectorized=config.vectorized,
-        ):
+        with maybe_span("fleet", streams=config.n_streams):
             attack_mask, trial_seqs, stream_seqs = fleet_seed_plan(
                 config
             )

@@ -2,40 +2,31 @@
 
 :class:`StreamingGuard` is the deployment the paper describes — the
 defense sitting *in front of* a live assistant — realised over this
-repository's offline components. It composes the ring buffer
-(:class:`~repro.stream.chunker.ChunkedStream`), the causal gate
-(:class:`~repro.stream.segmenter.OnlineSegmenter`) and the
-incremental extractor
-(:class:`~repro.stream.features.StreamingTraceExtractor`), and
-decides through the *same*
+repository's offline components, and it decides through the *same*
 :func:`repro.defense.guard.guard_outcome` policy as the offline
 :class:`~repro.defense.guard.GuardedVoiceAssistant`.
 
-Parity contract: for a given sample sequence forming one utterance,
-the emitted :class:`~repro.defense.guard.GuardedOutcome` — verdict,
-score and features — is bitwise identical to the offline assistant
-processing the same samples as one
-:class:`~repro.dsp.signals.Signal`, for **any** partition of those
-samples into push chunks. The recogniser runs once on the closed
-utterance (DTW is inherently utterance-level); the detector's Welch
-accumulation happens online as chunks arrive, through
-:class:`~repro.stream.features.WelchAccumulator`'s bitwise-matched
-segment walk, so close-time work is only the envelope filters.
-
 Two gating modes:
 
-* **gated** (default) — the online segmenter delimits utterances;
-  :meth:`push` returns the utterances closed by that chunk, each with
-  its deterministic, sample-denominated detection latency.
+* **gated** (default) — a one-row view over the fleet kernel's
+  :class:`~repro.stream.kernel.StreamGroup` (ring, causal segmenter,
+  incremental Welch): :meth:`push` runs one kernel cycle and returns
+  the utterances that chunk closed, decided at once through
+  :func:`~repro.stream.kernel.decide_utterances`, each with its
+  deterministic, sample-denominated detection latency. A stream's
+  verdicts are therefore the fleet kernel's for that stream, for any
+  chunk partition (only ``emitted_at_sample`` moves with the
+  chunking).
 * **gateless** (``gated=False``) — the caller delimits utterances
   (:meth:`end_utterance`), which is how the parity suites and the S1
   experiment compare a chunked stream against the offline guard on
-  identical sample spans.
+  identical sample spans. Its Welch accumulation runs online through
+  :class:`~repro.stream.features.StreamingTraceExtractor`; the
+  verdict, score and features are bitwise the offline assistant's on
+  the concatenated samples, for **any** partition into push chunks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,46 +34,16 @@ from repro.defense.detector import InaudibleVoiceDetector
 from repro.defense.features import features_from_analysis
 from repro.defense.guard import GuardedOutcome, guard_outcome
 from repro.dsp.signals import Signal, Unit
-from repro.errors import DefenseError, StreamError
+from repro.errors import StreamError
 from repro.speech.recognizer import KeywordRecognizer
-from repro.stream.chunker import ChunkedStream
 from repro.stream.features import StreamingTraceExtractor
-from repro.stream.segmenter import (
-    OnlineSegmenter,
-    SegmenterConfig,
-    UtteranceClosed,
-    UtteranceOpened,
+from repro.stream.kernel import (
+    StreamGroup,
+    UtteranceOutcome,
+    check_guard_inputs,
+    decide_utterances,
 )
-
-
-@dataclass(frozen=True)
-class UtteranceOutcome:
-    """One gated utterance's verdict, with its stream bookkeeping.
-
-    Attributes
-    ----------
-    outcome:
-        The guard's decision, shaped exactly like the offline
-        assistant's.
-    start_sample, end_sample:
-        Absolute utterance boundaries in the stream.
-    emitted_at_sample:
-        Stream head when the verdict was emitted. The gap to
-        ``end_sample`` is the detection latency in *stream time* —
-        deterministic for a given chunking, unlike wall clock.
-    forced:
-        Whether the segmenter force-closed at ``max_utterance_s``.
-    """
-
-    outcome: GuardedOutcome
-    start_sample: int
-    end_sample: int
-    emitted_at_sample: int
-    forced: bool
-
-    def latency_s(self, sample_rate: float) -> float:
-        """Detection latency in stream seconds (audio time)."""
-        return (self.emitted_at_sample - self.end_sample) / sample_rate
+from repro.stream.segmenter import SegmenterConfig
 
 
 class StreamingGuard:
@@ -115,16 +76,7 @@ class StreamingGuard:
         gated: bool = True,
         segmenter_config: SegmenterConfig | None = None,
     ) -> None:
-        if not recognizer.commands:
-            raise DefenseError(
-                "the recogniser has no enrolled commands; enroll "
-                "before installing the guard"
-            )
-        if sample_rate < 8000.0:
-            raise StreamError(
-                "the guard needs at least an 8 kHz stream, got "
-                f"{sample_rate} Hz"
-            )
+        check_guard_inputs(recognizer, sample_rate)
         self.recognizer = recognizer
         self.detector = detector
         self.sample_rate = float(sample_rate)
@@ -132,14 +84,10 @@ class StreamingGuard:
         self.gated = bool(gated)
         self._extractor: StreamingTraceExtractor | None = None
         if self.gated:
-            config = segmenter_config or SegmenterConfig()
-            self._stream = ChunkedStream(
-                sample_rate,
-                config.frame_length_s,
-                config.hop_length_s,
+            self._group = StreamGroup(
+                1, sample_rate, segmenter_config, [unit]
             )
-            self._segmenter = OnlineSegmenter(sample_rate, config)
-            self._fed = 0
+            self._head = 0
         elif segmenter_config is not None:
             raise StreamError(
                 "segmenter_config is meaningless with gated=False"
@@ -153,30 +101,15 @@ class StreamingGuard:
         if not self.gated:
             self._feed_gateless(chunk)
             return []
-        head = self._stream.push(chunk)
-        first, energies = self._stream.pending_frame_energies()
-        events = self._segmenter.process(first, energies)
-        outcomes: list[UtteranceOutcome] = []
-        for event in events:
-            if isinstance(event, UtteranceOpened):
-                self._extractor = StreamingTraceExtractor(
-                    self.sample_rate, self.unit
-                )
-                self._fed = event.start_sample
-            elif isinstance(event, UtteranceClosed):
-                outcomes.append(self._close(event, head))
-        if self._segmenter.in_utterance:
-            # Spread the Welch work across pushes: feed everything
-            # buffered, commit the segmenter's proven lower bound.
-            if self._fed < head:
-                start = self._segmenter.utterance_start
-                self._extractor.feed(self._stream.read(self._fed, head))
-                self._fed = head
-                self._extractor.commit(
-                    self._segmenter.commit_bound(head) - start
-                )
-        self._release(head)
-        return outcomes
+        samples = np.asarray(chunk, dtype=np.float64)
+        if samples.ndim != 1:
+            raise StreamError(
+                f"push expects a 1-D chunk, got shape {samples.shape}"
+            )
+        head = self._head + samples.shape[0]
+        closed = self._group.push(samples[np.newaxis, :], [head])
+        self._head = head
+        return self._decide_closed(closed)
 
     def flush(self) -> list[UtteranceOutcome]:
         """End of stream: close and decide any open utterance."""
@@ -185,41 +118,14 @@ class StreamingGuard:
                 "flush() is for gated streams; gateless callers use "
                 "end_utterance()"
             )
-        head = self._stream.head
-        event = self._segmenter.flush(head)
-        outcomes = []
-        if event is not None:
-            outcomes.append(self._close(event, head))
-        self._release(head)
-        return outcomes
+        return self._decide_closed(self._group.flush([self._head]))
 
-    def _close(
-        self, event: UtteranceClosed, head: int
-    ) -> UtteranceOutcome:
-        end = min(event.end_sample, head)
-        if self._fed < end:
-            self._extractor.feed(self._stream.read(self._fed, end))
-            self._fed = end
-        extractor = self._extractor
-        self._extractor = None
-        outcome = self._decide(extractor, end - event.start_sample)
-        return UtteranceOutcome(
-            outcome=outcome,
-            start_sample=event.start_sample,
-            end_sample=end,
-            emitted_at_sample=head,
-            forced=event.forced,
+    def _decide_closed(self, closed) -> list[UtteranceOutcome]:
+        if not closed:
+            return []
+        return decide_utterances(
+            closed, self.sample_rate, self.recognizer, self.detector
         )
-
-    def _release(self, head: int) -> None:
-        next_frame_start = self._stream.frames_emitted * self._stream.hop
-        if self._segmenter.in_utterance:
-            keep_from = min(next_frame_start, self._fed)
-        else:
-            keep_from = min(
-                next_frame_start, self._segmenter.lookback_sample()
-            )
-        self._stream.release(max(self._stream.tail, keep_from))
 
     # -- gateless mode -------------------------------------------------
 
@@ -250,21 +156,14 @@ class StreamingGuard:
             )
         extractor = self._extractor
         self._extractor = None
-        return self._decide(extractor, extractor.n_fed)
-
-    # -- the shared decision path -------------------------------------
-
-    def _decide(
-        self, extractor: StreamingTraceExtractor, length: int
-    ) -> GuardedOutcome:
         recording = Signal(
-            extractor.waveform(length), self.sample_rate, self.unit
+            extractor.waveform(), self.sample_rate, self.unit
         )
         recognition = self.recognizer.recognize(recording)
 
         def detect():
             vector = features_from_analysis(
-                extractor.finalize(length),
+                extractor.finalize(),
                 subset=self.detector.feature_subset,
             )
             return self.detector.classify_features(vector)

@@ -1,13 +1,10 @@
-"""Structure-of-arrays fleet kernel: one group of streams per loop.
+"""Structure-of-arrays guard kernel: one group of streams per loop.
 
-:func:`~repro.stream.fleet.drive_stream` advances one device through
-its timeline with per-chunk Python work — ring push, frame energies,
-segmenter branches, Welch segments — repeated for every stream. At
-fleet scale that per-stream interpreter overhead dominates: the
-arithmetic is identical across streams, only the data differs. This
-module is the RVH/Harmonia-shaped rewrite of that hot loop: a whole
-*group* of streams advances in lockstep, and each cycle's work runs
-as ``(n_streams, ...)`` NumPy ops —
+The online guard's per-chunk work — ring push, frame energies,
+segmenter branches, Welch segments — is the same arithmetic for every
+stream; only the data differs. This module runs it for a whole
+*group* of streams in lockstep, each cycle's work as
+``(n_streams, ...)`` NumPy ops (the RVH/Harmonia-shaped hot loop):
 
 * each stream's audio is read chunk by chunk from its
   :class:`~repro.stream.fleet.TimelineSource`, so a group holds one
@@ -22,31 +19,43 @@ as ``(n_streams, ...)`` NumPy ops —
   utterance into one stack and runs a single batched FFT
   (:func:`~repro.stream.features.welch_segment_psd`), folding rows
   back per accumulator in order;
-* at group end, recognition batches all closed utterances through the
+* the decide phase batches closed utterances through the
   anti-diagonal DTW slab
   (:meth:`~repro.speech.recognizer.KeywordRecognizer.recognize_many`)
-  and detection batches the trace analyses by utterance length.
+  and the trace analyses by utterance length.
 
-Per-stream *scalar* work survives only at boundary events — an
+:class:`StreamGroup` is that per-cycle state and cycle body, and
+:func:`decide_utterances` the decide phase. There is one of each, and
+both online engines are built from them:
+:func:`drive_stream_group` pushes a fleet group's timelines and
+decides once at group end; the gated
+:class:`~repro.stream.guard.StreamingGuard` is a one-row group that
+decides after every push.
+
+Per-stream scalar work survives only at boundary events — an
 utterance closing (its samples are copied out and its Welch tail
 segments finish in the scalar accumulator) and ring growth — exactly
 the cheap-fast-path / expensive-rare-boundary split the online
 classification literature prescribes.
 
-The contract is the fleet's usual one, extended: every per-stream
-digest is **bitwise identical** to :func:`drive_stream`'s for any
-grouping of streams into kernel batches. The chain starts at the
-audio: the kernel draws each ambient span in chunk-sized pieces where
-the scalar loop's :func:`~repro.stream.fleet.assemble_timeline`
-draws it whole, and numpy's ``Generator.normal`` yields the same
-values either way (pinned by name in
-``tests/stream/test_stream_timeline.py``). Each vectorised stage is
-row-wise bitwise equal to its scalar counterpart (batched FFT rows,
-matrix frame RMS, elementwise float64 state updates, band-masked DTW
-slabs), rows never exchange information, and the lockstep zero
-padding of shorter timelines is masked out of every decision — the
-kernel digest property in ``tests/stream/test_stream_kernel.py``
-pins this over arbitrary stream counts and groupings.
+Parity rests on two oracles, both pinned in
+``tests/stream/test_stream_kernel.py``:
+
+* **Offline.** Every verdict — recognition distances, detector score
+  and features — is bitwise the offline
+  :class:`~repro.defense.guard.GuardedVoiceAssistant` processing the
+  utterance's ``[start, end)`` span of the stream's
+  :func:`~repro.stream.fleet.assemble_timeline`. The chain starts at
+  the audio: the kernel draws each ambient span in chunk-sized pieces
+  where ``assemble_timeline`` draws it whole, and numpy's
+  ``Generator.normal`` yields the same values either way (pinned by
+  name in ``tests/stream/test_stream_timeline.py``).
+* **Grouping.** Rows never exchange information and the lockstep zero
+  padding of shorter timelines is masked out of every decision, so any
+  grouping of streams into kernel batches — and the one-row gated
+  guard under any chunk partition — yields each stream's
+  one-stream-per-group outcomes bitwise. Only ``emitted_at_sample``
+  (the stream head at the decision) depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -58,9 +67,8 @@ import numpy as np
 
 from repro.defense.detector import InaudibleVoiceDetector
 from repro.defense.features import features_from_analysis
-from repro.defense.guard import guard_outcome
+from repro.defense.guard import GuardedOutcome, guard_outcome
 from repro.defense.traces import analyses_from_psd
-from repro.dsp.framing import frame_count
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import DefenseError, StreamError
 from repro.obs.trace import current_tracer
@@ -74,7 +82,6 @@ from repro.stream.fleet import (
     TimelineSource,
     assemble_timeline,  # noqa: F401 -- the eager drain, re-exported
 )
-from repro.stream.guard import UtteranceOutcome
 from repro.stream.segmenter import (
     BatchClosed,
     BatchOpened,
@@ -86,10 +93,41 @@ from repro.stream.segmenter import (
 PROFILE_MODE = "stream"
 
 
+@dataclass(frozen=True)
+class UtteranceOutcome:
+    """One gated utterance's verdict, with its stream bookkeeping.
+
+    Attributes
+    ----------
+    outcome:
+        The guard's decision, shaped exactly like the offline
+        assistant's.
+    start_sample, end_sample:
+        Absolute utterance boundaries in the stream.
+    emitted_at_sample:
+        Stream head when the verdict was emitted. The gap to
+        ``end_sample`` is the detection latency in *stream time* —
+        deterministic for a given chunking, unlike wall clock.
+    forced:
+        Whether the segmenter force-closed at ``max_utterance_s``.
+    """
+
+    outcome: GuardedOutcome
+    start_sample: int
+    end_sample: int
+    emitted_at_sample: int
+    forced: bool
+
+    def latency_s(self, sample_rate: float) -> float:
+        """Detection latency in stream seconds (audio time)."""
+        return (self.emitted_at_sample - self.end_sample) / sample_rate
+
+
 @dataclass
 class _Pending:
-    """One closed utterance awaiting the batched decide phase."""
+    """One closed utterance awaiting the decide phase."""
 
+    row: int
     start: int
     end: int
     emitted_at: int
@@ -141,53 +179,10 @@ class _StageClock:
                 )
 
 
-def drive_stream_group(
-    config: FleetConfig,
-    detector: InaudibleVoiceDetector,
-    segmenter_config: SegmenterConfig | None,
-    indices: list[int],
-    rate: float,
-    recognizer: KeywordRecognizer,
-    recordings_by_stream: list[list[Signal]],
-    attack_by_stream: list[np.ndarray],
-    seed_seqs: list[np.random.SeedSequence],
-    profile: StageProfile | None = None,
-) -> tuple[list[RawStreamRun], float]:
-    """Drive a group of streams in lockstep; per-stream results are
-    bitwise :func:`~repro.stream.fleet.drive_stream`'s.
-
-    Parameters mirror ``drive_stream`` with the stream axis pluralised:
-    ``indices`` are the global stream indices of the group, and entry
-    ``b`` of the per-stream lists is that stream's utterance
-    recordings, slot attack flags and seed sequence. ``profile``
-    (optional) accumulates the kernel's per-stage wall time under
-    mode ``"stream"``.
-
-    Each stream's timeline is read one chunk per cycle from its
-    :class:`~repro.stream.fleet.TimelineSource`, never materialised;
-    bitwise parity with the scalar loop's eager
-    :func:`~repro.stream.fleet.assemble_timeline` rests on chunked
-    ``Generator.normal`` draws equalling one whole draw.
-
-    Returns ``(runs, assemble_seconds)`` — the second element is the
-    wall time spent producing the group's timelines (source set-up
-    plus every cycle's chunk fill, ambient draws included), which the
-    fleet accounts as *prepare* (workload generation), not streaming
-    wall: a deployment receives its audio, it does not draw it from a
-    generator.
-    """
-    n_group = len(indices)
-    if not (
-        n_group
-        == len(recordings_by_stream)
-        == len(attack_by_stream)
-        == len(seed_seqs)
-    ):
-        raise StreamError(
-            "kernel group fields must be parallel, got lengths "
-            f"{n_group}/{len(recordings_by_stream)}/"
-            f"{len(attack_by_stream)}/{len(seed_seqs)}"
-        )
+def check_guard_inputs(
+    recognizer: KeywordRecognizer, rate: float
+) -> None:
+    """The guard's preconditions: an enrolled recogniser, >= 8 kHz."""
     if not recognizer.commands:
         raise DefenseError(
             "the recogniser has no enrolled commands; enroll "
@@ -198,74 +193,56 @@ def drive_stream_group(
             "the guard needs at least an 8 kHz stream, got "
             f"{rate} Hz"
         )
-    tracer = current_tracer()
-    if tracer is not None:
-        # The group span's id is needed *before* its children are
-        # recorded; allocate it now, record the span itself at the
-        # end with the id and parent pinned here.
-        group_id: int | None = tracer.new_id()
-        group_parent = tracer.current_parent()
-        group_started = time.perf_counter()
-    else:
-        group_id = None
-    clock = _StageClock(profile is not None, tracer, group_id)
 
-    assemble_started = time.perf_counter()
-    sources = [
-        TimelineSource(config, rate, recordings, np.random.default_rng(seq))
-        for recordings, seq in zip(recordings_by_stream, seed_seqs)
-    ]
-    units = [recordings[0].unit for recordings in recordings_by_stream]
-    assemble_ended = time.perf_counter()
-    assemble_seconds = assemble_ended - assemble_started
-    clock.record("assemble", assemble_started, assemble_ended)
-    clock.start()
-    lens = np.array([source.length for source in sources], dtype=np.int64)
-    max_len = int(lens.max())
-    chunk = max(1, int(round(config.chunk_s * rate)))
-    seg_cfg = segmenter_config or SegmenterConfig()
-    ring = ChunkedStreamBatch(
-        n_group, rate, seg_cfg.frame_length_s, seg_cfg.hop_length_s
-    )
-    segmenter = OnlineSegmenterBatch(n_group, rate, seg_cfg)
-    n_frames = np.array(
-        [frame_count(int(n), ring.frame_len, ring.hop) for n in lens],
-        dtype=np.int64,
-    )
-    clock.stop("assemble")
 
-    # Per-row live-utterance state: (start_sample, WelchAccumulator).
-    open_welch: list[WelchAccumulator | None] = [None] * n_group
-    pending: list[list[_Pending]] = [[] for _ in range(n_group)]
-    block = np.empty((n_group, chunk), dtype=np.float64)
-    head = 0
-    while head < max_len:
-        nxt = min(head + chunk, max_len)
-        k = nxt - head
+class StreamGroup:
+    """The ring, segmenter and Welch state of a lockstep stream group.
 
-        # -- assemble: each row's next chunk from its source --------
-        # Exhausted rows read as zero padding. Producing the audio is
-        # workload generation, so its time joins assemble_seconds.
-        fill_started = time.perf_counter()
-        cycle = block[:, :k]
-        for source, row in zip(sources, cycle):
-            source.read_into(row)
-        fill_ended = time.perf_counter()
-        assemble_seconds += fill_ended - fill_started
-        clock.record("assemble", fill_started, fill_ended)
+    :meth:`push` runs one cycle over a ``(n_rows, k)`` block — ingest,
+    segment, close events, Welch, release — and returns the
+    utterances it closed; :meth:`flush` closes the rows still open at
+    stream end. ``heads`` is each row's real sample count so far: the
+    frames beyond it are the zero padding of a finished row and are
+    masked out of the segmenter, and closing utterances are capped at
+    it. ``clock`` (optional) times the stages.
+    """
+
+    def __init__(
+        self,
+        n_rows: int,
+        rate: float,
+        segmenter_config: SegmenterConfig | None,
+        units: list[str],
+        clock: _StageClock | None = None,
+    ) -> None:
+        seg_cfg = segmenter_config or SegmenterConfig()
+        self.rate = float(rate)
+        self.units = list(units)
+        self.clock = clock or _StageClock(False)
+        self.ring = ChunkedStreamBatch(
+            n_rows, rate, seg_cfg.frame_length_s, seg_cfg.hop_length_s
+        )
+        self.segmenter = OnlineSegmenterBatch(n_rows, rate, seg_cfg)
+        self._welch: list[WelchAccumulator | None] = [None] * n_rows
+
+    def push(self, block: np.ndarray, heads) -> list[_Pending]:
+        """One cycle over ``block``; the utterances it closed."""
+        clock, ring, segmenter = self.clock, self.ring, self.segmenter
+        heads = np.asarray(heads, dtype=np.int64)
 
         # -- ingest: one lockstep push, one matrix frame-RMS --------
         clock.start()
-        ring.push_block(cycle)
-        head = nxt
+        ring.push_block(block)
         first, energies = ring.pending_frame_energies()
         clock.stop("ingest")
-        heads = np.minimum(lens, head)
 
         # -- segment: vectorised state machine over the new frames --
         clock.start()
         n_new = energies.shape[1]
         if n_new:
+            # Per-row frame_count(heads): frames wholly inside the
+            # row's real samples.
+            n_frames = (heads - ring.frame_len) // ring.hop + 1
             frame_idx = first + np.arange(n_new)
             valid = frame_idx[np.newaxis, :] < n_frames[:, np.newaxis]
             events = segmenter.process_block(first, energies, valid)
@@ -275,32 +252,13 @@ def drive_stream_group(
 
         # -- boundary events: the per-stream scalar fallback ---------
         clock.start()
+        closed: list[_Pending] = []
         for event in events:
             if isinstance(event, BatchOpened):
                 for row in event.rows:
-                    open_welch[int(row)] = WelchAccumulator(rate)
-            elif isinstance(event, BatchClosed):
-                for row, start, end_u, forced in zip(
-                    event.rows,
-                    event.start_samples,
-                    event.end_samples,
-                    event.forced,
-                ):
-                    row, start = int(row), int(start)
-                    end = min(int(end_u), int(heads[row]))
-                    welch = open_welch[row]
-                    open_welch[row] = None
-                    pending[row].append(
-                        _Pending(
-                            start=start,
-                            end=end,
-                            emitted_at=int(heads[row]),
-                            forced=bool(forced),
-                            samples=ring.read_row(row, start, end),
-                            welch=welch,
-                            unit=units[row],
-                        )
-                    )
+                    self._welch[int(row)] = WelchAccumulator(self.rate)
+            else:
+                closed.extend(self._close(event, heads))
         clock.stop("close")
 
         # -- welch: every due segment of the cycle in one FFT --------
@@ -313,7 +271,7 @@ def drive_stream_group(
             gather_starts: list[int] = []
             owners: list[WelchAccumulator] = []
             for row in np.flatnonzero(open_mask):
-                welch = open_welch[row]
+                welch = self._welch[row]
                 start = int(starts[row])
                 committed = int(bounds[row]) - start
                 for rel in welch.due_starts(committed):
@@ -342,59 +300,85 @@ def drive_stream_group(
         )
         keep = min(next_frame_start, int(per_row_keep.min()))
         ring.release(max(ring.tail, keep))
+        return closed
 
-    # -- flush: close still-open rows at their own stream ends -------
-    clock.start()
-    flush_event = segmenter.flush_open_rows(lens)
-    if flush_event is not None:
-        for row, start, end in zip(
-            flush_event.rows,
-            flush_event.start_samples,
-            flush_event.end_samples,
+    def flush(self, heads) -> list[_Pending]:
+        """End of stream: close every still-open row at its head."""
+        self.clock.start()
+        heads = np.asarray(heads, dtype=np.int64)
+        event = self.segmenter.flush_open_rows(heads)
+        closed = [] if event is None else self._close(event, heads)
+        self.clock.stop("close")
+        return closed
+
+    def _close(
+        self, event: BatchClosed, heads: np.ndarray
+    ) -> list[_Pending]:
+        closed = []
+        for row, start, end, forced in zip(
+            event.rows,
+            event.start_samples,
+            event.end_samples,
+            event.forced,
         ):
-            row, start, end = int(row), int(start), int(end)
-            welch = open_welch[row]
-            open_welch[row] = None
-            pending[row].append(
+            row, start, head = int(row), int(start), int(heads[row])
+            end = min(int(end), head)
+            closed.append(
                 _Pending(
+                    row=row,
                     start=start,
                     end=end,
-                    emitted_at=int(lens[row]),
-                    forced=False,
-                    samples=ring.read_row(row, start, end),
-                    welch=welch,
-                    unit=units[row],
+                    emitted_at=head,
+                    forced=bool(forced),
+                    samples=self.ring.read_row(row, start, end),
+                    welch=self._welch[row],
+                    unit=self.units[row],
                 )
             )
-    clock.stop("close")
+            self._welch[row] = None
+        return closed
+
+
+def decide_utterances(
+    closed: list[_Pending],
+    rate: float,
+    recognizer: KeywordRecognizer,
+    detector: InaudibleVoiceDetector,
+    clock: _StageClock | None = None,
+) -> list[UtteranceOutcome]:
+    """Verdicts for closed utterances, in order.
+
+    One batched recognition over all of them, then trace analyses
+    batched by utterance length for the *accepted* ones: the guard
+    consults the detector only when recognition accepts
+    (:func:`~repro.defense.guard.guard_outcome`'s laziness), and the
+    PSD of a rejected utterance could even raise.
+    """
+    clock = clock or _StageClock(False)
 
     # -- recognize: all closed utterances through the DTW slab -------
     clock.start()
-    flat = [(row, p) for row in range(n_group) for p in pending[row]]
     recognitions = recognizer.recognize_many(
-        [Signal(p.samples, rate, p.unit) for _, p in flat]
+        [Signal(p.samples, rate, p.unit) for p in closed]
     )
     clock.stop("recognize")
 
-    # -- detect: batched trace analyses for *accepted* utterances ----
-    # The guard consults the detector only when recognition accepts
-    # (guard_outcome's laziness); computing the PSD of a rejected
-    # utterance could even raise where the scalar path would not.
+    # -- detect: batched trace analyses for accepted utterances ------
     clock.start()
     accepted = [
         i for i, result in enumerate(recognitions) if result.accepted
     ]
     finalized = {}
     for i in accepted:
-        p = flat[i][1]
+        p = closed[i]
         finalized[i] = p.welch.finalize(p.samples, p.samples.shape[0])
     groups: dict[tuple[int, str], list[int]] = {}
     for i in accepted:
-        p = flat[i][1]
+        p = closed[i]
         groups.setdefault((p.samples.shape[0], p.unit), []).append(i)
     detections = {}
     for (_, unit), members in groups.items():
-        stack = np.stack([flat[i][1].samples for i in members])
+        stack = np.stack([closed[i].samples for i in members])
         freqs = finalized[members[0]][0]
         psd = np.concatenate(
             [finalized[i][1] for i in members], axis=0
@@ -409,21 +393,124 @@ def drive_stream_group(
             detections[i] = detector.classify_features(vector)
     clock.stop("detect")
 
+    return [
+        UtteranceOutcome(
+            outcome=guard_outcome(
+                recognitions[i],
+                lambda detection=detections.get(i): detection,
+            ),
+            start_sample=p.start,
+            end_sample=p.end,
+            emitted_at_sample=p.emitted_at,
+            forced=p.forced,
+        )
+        for i, p in enumerate(closed)
+    ]
+
+
+def drive_stream_group(
+    config: FleetConfig,
+    detector: InaudibleVoiceDetector,
+    segmenter_config: SegmenterConfig | None,
+    indices: list[int],
+    rate: float,
+    recognizer: KeywordRecognizer,
+    recordings_by_stream: list[list[Signal]],
+    attack_by_stream: list[np.ndarray],
+    seed_seqs: list[np.random.SeedSequence],
+    profile: StageProfile | None = None,
+) -> tuple[list[RawStreamRun], float]:
+    """Drive a group of streams in lockstep through one
+    :class:`StreamGroup`.
+
+    ``indices`` are the global stream indices of the group, and entry
+    ``b`` of the per-stream lists is that stream's utterance
+    recordings, slot attack flags and seed sequence. ``profile``
+    (optional) accumulates the kernel's per-stage wall time under
+    mode ``"stream"``.
+
+    Each stream's timeline is read one chunk per cycle from its
+    :class:`~repro.stream.fleet.TimelineSource`, never materialised.
+    Every verdict equals the offline guard on the utterance's span of
+    the eager :func:`~repro.stream.fleet.assemble_timeline`, and each
+    stream's run is independent of the group it shares (the module
+    docstring's two oracles).
+
+    Returns ``(runs, assemble_seconds)`` — the second element is the
+    wall time spent producing the group's timelines (source set-up
+    plus every cycle's chunk fill, ambient draws included), which the
+    fleet accounts as *prepare* (workload generation), not streaming
+    wall: a deployment receives its audio, it does not draw it from a
+    generator.
+    """
+    n_group = len(indices)
+    if not (
+        n_group
+        == len(recordings_by_stream)
+        == len(attack_by_stream)
+        == len(seed_seqs)
+    ):
+        raise StreamError(
+            "kernel group fields must be parallel, got lengths "
+            f"{n_group}/{len(recordings_by_stream)}/"
+            f"{len(attack_by_stream)}/{len(seed_seqs)}"
+        )
+    check_guard_inputs(recognizer, rate)
+    tracer = current_tracer()
+    if tracer is not None:
+        # The group span's id is needed *before* its children are
+        # recorded; allocate it now, record the span itself at the
+        # end with the id and parent pinned here.
+        group_id: int | None = tracer.new_id()
+        group_parent = tracer.current_parent()
+        group_started = time.perf_counter()
+    else:
+        group_id = None
+    clock = _StageClock(profile is not None, tracer, group_id)
+
+    assemble_started = time.perf_counter()
+    sources = [
+        TimelineSource(config, rate, recordings, np.random.default_rng(seq))
+        for recordings, seq in zip(recordings_by_stream, seed_seqs)
+    ]
+    units = [recordings[0].unit for recordings in recordings_by_stream]
+    assemble_ended = time.perf_counter()
+    assemble_seconds = assemble_ended - assemble_started
+    clock.record("assemble", assemble_started, assemble_ended)
+    clock.start()
+    lens = np.array([source.length for source in sources], dtype=np.int64)
+    max_len = int(lens.max())
+    chunk = max(1, int(round(config.chunk_s * rate)))
+    group = StreamGroup(n_group, rate, segmenter_config, units, clock)
+    clock.stop("assemble")
+
+    closed: list[_Pending] = []
+    block = np.empty((n_group, chunk), dtype=np.float64)
+    head = 0
+    while head < max_len:
+        nxt = min(head + chunk, max_len)
+
+        # -- assemble: each row's next chunk from its source --------
+        # Exhausted rows read as zero padding. Producing the audio is
+        # workload generation, so its time joins assemble_seconds.
+        fill_started = time.perf_counter()
+        cycle = block[:, : nxt - head]
+        for source, row in zip(sources, cycle):
+            source.read_into(row)
+        fill_ended = time.perf_counter()
+        assemble_seconds += fill_ended - fill_started
+        clock.record("assemble", fill_started, fill_ended)
+
+        head = nxt
+        closed.extend(group.push(cycle, np.minimum(lens, head)))
+    closed.extend(group.flush(lens))
+
+    # Row-major, each row's utterances in stream order (stable sort).
+    closed.sort(key=lambda p: p.row)
+    decided = decide_utterances(closed, rate, recognizer, detector, clock)
     outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
-    for i, (row, p) in enumerate(flat):
-        detection = detections.get(i)
-        outcome = guard_outcome(
-            recognitions[i], lambda detection=detection: detection
-        )
-        outcomes[row].append(
-            UtteranceOutcome(
-                outcome=outcome,
-                start_sample=p.start,
-                end_sample=p.end,
-                emitted_at_sample=p.emitted_at,
-                forced=p.forced,
-            )
-        )
+    for p, outcome in zip(closed, decided):
+        outcomes[p.row].append(outcome)
 
     if profile is not None:
         for stage, seconds in clock.seconds.items():
@@ -435,15 +522,15 @@ def drive_stream_group(
         # the decide instant, with the stream-time latency (and the
         # stream that produced them) in the attributes — that is what
         # the reporter's percentile section reads.
-        for i, (row, p) in enumerate(flat):
+        for p, outcome in zip(closed, decided):
             tracer.record(
                 "utterance",
                 group_ended,
                 group_ended,
                 parent_id=group_id,
-                stream=int(indices[row]),
-                latency_s=(p.emitted_at - p.end) / rate,
-                accepted=bool(recognitions[i].accepted),
+                stream=int(indices[p.row]),
+                latency_s=outcome.latency_s(rate),
+                accepted=bool(outcome.outcome.recognition.accepted),
                 forced=p.forced,
             )
         tracer.record(

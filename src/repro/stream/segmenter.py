@@ -21,13 +21,14 @@ Utterance boundaries mirror :func:`~repro.speech.vad.trim_silence`:
 ``start = first_open_frame * hop - padding`` and
 ``end = last_voiced_frame * hop + frame_len + padding``.
 
-The segmenter is a pure frame-level state machine: it consumes frame
-energies (index + values) and emits :class:`UtteranceOpened` /
-:class:`UtteranceClosed` events. It never touches samples — the
-:class:`~repro.stream.guard.StreamingGuard` composes it with the ring
-buffer and the incremental extractor. :meth:`commit_bound` is the
-monotone in-utterance lower bound that drives the extractor's
-incremental Welch accumulation: every sample below
+:class:`OnlineSegmenterBatch` is a pure frame-level state machine
+over a group of streams (one row each): it consumes frame energies
+(index + values) and emits :class:`BatchOpened` / :class:`BatchClosed`
+events. It never touches samples — the kernel's
+:class:`~repro.stream.kernel.StreamGroup` composes it with the ring
+buffer and the Welch accumulators. :meth:`~OnlineSegmenterBatch.
+commit_bounds` is the monotone in-utterance lower bound that drives
+the incremental Welch accumulation: every sample below
 ``last_voiced * hop + frame_len + padding`` is inside the eventual
 utterance whatever happens next, because ``last_voiced`` only grows
 and the close formula is exactly that expression.
@@ -137,185 +138,13 @@ class SegmenterConfig:
 
 
 @dataclass(frozen=True)
-class UtteranceOpened:
-    """An utterance began; retain samples from ``start_sample`` on."""
-
-    frame: int
-    start_sample: int
-
-
-@dataclass(frozen=True)
-class UtteranceClosed:
-    """An utterance ended.
-
-    ``end_sample`` is the uncapped boundary formula (the guard caps
-    it at the stream head); ``frame`` is the frame whose processing
-    fired the decision; ``forced`` marks a ``max_utterance_s`` cut.
-    """
-
-    frame: int
-    start_sample: int
-    end_sample: int
-    forced: bool
-
-
-class OnlineSegmenter:
-    """Causal utterance gate over a stream's frame energies."""
-
-    def __init__(
-        self,
-        sample_rate: float,
-        config: SegmenterConfig | None = None,
-    ) -> None:
-        self.config = config or SegmenterConfig()
-        self.sample_rate = float(sample_rate)
-        self.frame_len, self.hop = frame_params(
-            sample_rate,
-            self.config.frame_length_s,
-            self.config.hop_length_s,
-        )
-        self.pad = int(round(self.config.padding_s * sample_rate))
-        self.max_samples = int(
-            round(self.config.max_utterance_s * sample_rate)
-        )
-        self._floor: float | None = None
-        self._frames_seen = 0
-        self._consecutive_active = 0
-        self._open = False
-        self._start = 0
-        self._last_voiced = 0
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def in_utterance(self) -> bool:
-        """Whether an utterance is currently open."""
-        return self._open
-
-    @property
-    def utterance_start(self) -> int:
-        """Absolute start sample of the open utterance."""
-        if not self._open:
-            raise StreamError("no utterance is open")
-        return self._start
-
-    @property
-    def noise_floor(self) -> float:
-        """Current noise-floor estimate (after at least one frame)."""
-        if self._floor is None:
-            raise StreamError("no frames processed yet")
-        return self._floor
-
-    def commit_bound(self, head: int) -> int:
-        """Samples certainly inside the open utterance, capped at
-        ``head`` (what has actually been pushed)."""
-        if not self._open:
-            raise StreamError("no utterance is open")
-        bound = self._last_voiced * self.hop + self.frame_len + self.pad
-        bound = min(bound, self._start + self.max_samples, head)
-        return max(bound, self._start)
-
-    def lookback_sample(self) -> int:
-        """Earliest sample a *future* utterance could start at.
-
-        While closed, any utterance opening at a later frame ``f``
-        starts no earlier than
-        ``(f - open_frames + 1) * hop - pad``; the guard uses this to
-        release ring-buffer history it can never need again.
-        """
-        earliest_open = self._frames_seen - self.config.open_frames + 1
-        return max(0, earliest_open * self.hop - self.pad)
-
-    # -- the state machine --------------------------------------------
-
-    def process(
-        self, first_frame: int, energies: np.ndarray
-    ) -> list[UtteranceOpened | UtteranceClosed]:
-        """Advance over newly-completed frames, emitting events.
-
-        ``first_frame`` must equal the number of frames already
-        processed — the chunker's contract — so the segmenter sees
-        every frame exactly once, in order, whatever the push sizes.
-        """
-        if first_frame != self._frames_seen:
-            raise StreamError(
-                f"expected frame {self._frames_seen}, got "
-                f"{first_frame}; frames must arrive exactly once, in "
-                "order"
-            )
-        cfg = self.config
-        events: list[UtteranceOpened | UtteranceClosed] = []
-        for energy in np.asarray(energies, dtype=np.float64):
-            f = self._frames_seen
-            energy = float(energy)
-            if self._floor is None:
-                self._floor = max(energy, cfg.floor_min)
-            if not self._open:
-                if energy > cfg.open_factor * self._floor:
-                    self._consecutive_active += 1
-                else:
-                    self._consecutive_active = 0
-                    self._floor = max(
-                        (1.0 - cfg.floor_alpha) * self._floor
-                        + cfg.floor_alpha * energy,
-                        cfg.floor_min,
-                    )
-                if self._consecutive_active >= cfg.open_frames:
-                    open_first = f - cfg.open_frames + 1
-                    self._open = True
-                    self._start = max(0, open_first * self.hop - self.pad)
-                    self._last_voiced = f
-                    self._consecutive_active = 0
-                    events.append(UtteranceOpened(f, self._start))
-            else:
-                if energy > cfg.close_factor * self._floor:
-                    self._last_voiced = f
-                quiet_for = f - self._last_voiced
-                frame_end = f * self.hop + self.frame_len
-                if frame_end - self._start >= self.max_samples:
-                    events.append(self._close(f, forced=True))
-                elif quiet_for >= cfg.hangover_frames + cfg.close_frames:
-                    events.append(self._close(f, forced=False))
-            self._frames_seen += 1
-        return events
-
-    def _close(self, frame: int, forced: bool) -> UtteranceClosed:
-        if forced:
-            end = self._start + self.max_samples
-        else:
-            end = (
-                self._last_voiced * self.hop + self.frame_len + self.pad
-            )
-        start = self._start
-        self._open = False
-        self._consecutive_active = 0
-        return UtteranceClosed(frame, start, end, forced)
-
-    def flush(self, head: int) -> UtteranceClosed | None:
-        """End of stream: close any open utterance at its natural
-        boundary, capped at ``head`` (the samples actually pushed —
-        mid-stream closes leave the cap to the guard, but at flush
-        the boundary formula may reach past the stream's end).
-        """
-        if not self._open:
-            return None
-        event = self._close(self._frames_seen, forced=False)
-        return UtteranceClosed(
-            frame=event.frame,
-            start_sample=event.start_sample,
-            end_sample=min(event.end_sample, head),
-            forced=event.forced,
-        )
-
-
-@dataclass(frozen=True)
 class BatchOpened:
-    """Utterances began on ``rows`` at (per-row) frame ``frame``.
+    """Utterances began on ``rows`` at (per-row) frame ``frame``;
+    retain their samples from ``start_sample`` on.
 
-    All rows opening during the same lockstep cycle share the frame
+    All rows opening during the same lockstep frame share the frame
     index and therefore the start-sample formula, so ``start_sample``
-    is one scalar — identical to what each row's scalar segmenter
-    would have emitted.
+    is one scalar.
     """
 
     frame: int
@@ -327,9 +156,10 @@ class BatchOpened:
 class BatchClosed:
     """Utterances ended on ``rows`` at frame ``frame``.
 
-    ``end_samples`` carries the per-row uncapped boundary formula and
-    ``forced`` the per-row ``max_utterance_s`` flags — elementwise the
-    fields of the scalar :class:`UtteranceClosed` events.
+    ``end_samples`` carries the per-row uncapped boundary formula (the
+    kernel caps it at the row's head) and ``forced`` the per-row
+    ``max_utterance_s`` flags; ``frame`` is the frame whose processing
+    fired the decision.
     """
 
     frame: int
@@ -340,22 +170,22 @@ class BatchClosed:
 
 
 class OnlineSegmenterBatch:
-    """Structure-of-arrays :class:`OnlineSegmenter` over many streams.
+    """Causal utterance gate over a group of streams' frame energies.
 
-    The scalar state machine is one Python branch per (stream, frame);
-    this batch form keeps every per-stream scalar as one slot of a
-    ``(n_streams,)`` array and advances all streams through a frame
-    with a handful of masked vector ops. Per row it is *bitwise* the
-    scalar machine: the EMA update, the threshold comparisons and the
-    boundary formulas are the same float64 elementwise operations the
-    scalar code performs on Python floats, applied in the same
-    in-frame order (open-state snapshot first, so a row opening at
-    frame ``f`` never runs the close branch at ``f``, and vice versa).
+    Every per-stream scalar of the state machine is one slot of a
+    ``(n_streams,)`` array, and all streams advance through a frame
+    with a handful of masked vector ops: the EMA update, the threshold
+    comparisons and the boundary formulas are float64 elementwise
+    operations applied in a fixed in-frame order (open-state snapshot
+    first, so a row opening at frame ``f`` never runs the close branch
+    at ``f``, and vice versa). Rows never exchange information, so a
+    row's events are those of a one-row segmenter fed the same
+    energies.
 
     Rows fall out of lockstep only by *length*: the kernel zero-pads
     shorter timelines, and the per-frame ``valid`` mask (row still has
-    real frames) freezes a finished row's state exactly where its
-    scalar counterpart stopped.
+    real frames) freezes a finished row's state where its stream
+    ended.
     """
 
     def __init__(
@@ -403,12 +233,13 @@ class OnlineSegmenterBatch:
         return self._start.copy()
 
     def commit_bounds(self, heads: np.ndarray) -> np.ndarray:
-        """Per-row in-utterance commit bounds, elementwise the scalar
-        :meth:`OnlineSegmenter.commit_bound` formula.
+        """Per-row samples certainly inside the open utterance.
 
-        ``heads`` is each row's true stream head (its timeline length
-        capped at the lockstep head). Values are meaningful only where
-        :attr:`in_utterance` — the kernel masks by the open rows.
+        ``last_voiced * hop + frame_len + pad``, capped at the
+        ``max_utterance_s`` bound and at ``heads`` — each row's true
+        stream head (its real samples pushed so far). Values are
+        meaningful only where :attr:`in_utterance` — the kernel masks
+        by the open rows.
         """
         bound = self._last_voiced * self.hop + self.frame_len + self.pad
         bound = np.minimum(bound, self._start + self.max_samples)
@@ -416,8 +247,13 @@ class OnlineSegmenterBatch:
         return np.maximum(bound, self._start)
 
     def lookback_samples(self) -> np.ndarray:
-        """Per-row earliest start of any *future* utterance,
-        elementwise :meth:`OnlineSegmenter.lookback_sample`."""
+        """Per-row earliest start of any *future* utterance.
+
+        While closed, any utterance opening at a later frame ``f``
+        starts no earlier than ``(f - open_frames + 1) * hop - pad``;
+        the kernel uses this to release ring history it can never
+        need again.
+        """
         earliest = self._frames_seen - self.config.open_frames + 1
         return np.maximum(0, earliest * self.hop - self.pad)
 
@@ -538,13 +374,10 @@ class OnlineSegmenterBatch:
     def flush_open_rows(self, heads: np.ndarray) -> BatchClosed | None:
         """End of stream: close every still-open row naturally.
 
-        Mirrors :meth:`OnlineSegmenter.flush` per row — the boundary
-        formula capped at that row's own head, fired at that row's own
-        frame count (rows whose timelines ended early froze at their
-        scalar counterpart's frame count). Rows closing at different
-        frames are folded into one event; the kernel orders flush
-        outcomes per row, so the shared ``frame`` field is reported as
-        each row's own count via ``frames_seen_of``.
+        Each open row closes at its natural boundary formula, capped
+        at that row's own head (the boundary may reach past the
+        stream's end). Rows are folded into one event whose ``frame``
+        is the lockstep frame count.
         """
         if not self._open.any():
             return None
@@ -564,8 +397,3 @@ class OnlineSegmenterBatch:
         self._open[rows] = False
         self._consecutive[rows] = 0
         return event
-
-    def frames_seen_of(self, row: int) -> int:
-        """Row ``row``'s private frame count (== its scalar
-        segmenter's ``_frames_seen``)."""
-        return int(self._frames_seen[row])

@@ -1,27 +1,25 @@
 """Process-sharded fleet driver: the fleet scaled across cores.
 
-:class:`~repro.stream.fleet.FleetSimulator` multiplexes one core's
-worth of device streams over a thread pool; this module is the layer
-above it, borrowing the NSO concurrency-model playbook (SNIPPETS.md
-§1) the way Harmonia partitions replicated reads:
+:class:`~repro.stream.fleet.FleetSimulator` runs one core's worth of
+device streams through the structure-of-arrays kernel; this module is
+the layer above it, borrowing the NSO concurrency-model playbook
+(SNIPPETS.md §1) the way Harmonia partitions replicated reads:
 
 * **Independent shards.** The fleet's streams are partitioned into
   per-process shards (:func:`plan_shards`); each shard synthesises
   its own slice of utterance recordings through the batched trial
-  pipeline and runs the *same* stream loop
-  (:func:`~repro.stream.fleet.drive_stream`) over its partition.
-  Nothing coordinates on the hot path — per-stream state lives in the
-  stream's own guard, the recogniser/detector are shard-local copies,
-  and the multi-MB emissions come from the engine's per-process cache
-  (:mod:`repro.sim.engine`), built once per shard process however
-  many tasks it executes.
-* **Commit queue.** Inside each shard, driving threads hand every
-  finished stream's raw outcomes to a :class:`CommitQueue` — a
-  drainer thread that converts guard outcomes into deterministic
-  digests off the ingestion hot loop, the commit-queue idiom that
-  keeps slow result materialisation out of the critical path. The
-  coordinator drains shard results the same way, folding them into a
-  :class:`ShardAccumulator` as each future completes.
+  pipeline and runs the *same* dispatcher
+  (:func:`~repro.stream.fleet.drive_streams`, kernel groups over its
+  partition). Nothing coordinates on the hot path — per-stream state
+  lives in the stream's own kernel row, the recogniser/detector are
+  shard-local copies, and the multi-MB emissions come from the
+  engine's per-process cache (:mod:`repro.sim.engine`), built once
+  per shard process however many tasks it executes.
+* **No shared commit path.** Streams commute (the partition property
+  below), so a shard digests its runs inline once its groups finish,
+  exactly as the unsharded simulator does, and the coordinator folds
+  shard results into a :class:`ShardAccumulator` as each future
+  completes.
 * **Determinism.** All randomness is laid out by
   :func:`~repro.stream.fleet.fleet_seed_plan` *before* any
   scheduling, and each stream's computation is a pure function of its
@@ -42,12 +40,10 @@ shard_wall_seconds` so load imbalance is visible.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,6 +61,7 @@ from repro.sim.engine import partition_evenly
 from repro.stream.fleet import (
     FleetConfig,
     FleetReport,
+    RawStreamRun,
     StreamResult,
     check_fleet_rate,
     drive_streams,
@@ -74,7 +71,6 @@ from repro.stream.fleet import (
 from repro.stream.segmenter import SegmenterConfig
 
 __all__ = [
-    "CommitQueue",
     "ShardAccumulator",
     "ShardResult",
     "ShardTask",
@@ -82,61 +78,6 @@ __all__ = [
     "plan_shards",
     "run_shard",
 ]
-
-
-_CLOSE = object()
-
-
-class CommitQueue:
-    """Drain slow result materialisation off an ingestion hot path.
-
-    Producers (stream-driving threads) :meth:`put` raw items and
-    return to their next unit of work immediately; a single drainer
-    thread applies ``commit`` to each item in arrival order.
-    :meth:`close` waits for the backlog, then returns the committed
-    results (and re-raises the first commit error, if any — after the
-    queue has fully drained, so producers can never block on a dead
-    consumer).
-    """
-
-    def __init__(self, commit: Callable[[Any], Any]) -> None:
-        self._commit = commit
-        self._queue: queue.Queue = queue.Queue()
-        self._committed: list[Any] = []
-        self._error: BaseException | None = None
-        self._closed = False
-        self._drainer = threading.Thread(
-            target=self._drain, daemon=True
-        )
-        self._drainer.start()
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _CLOSE:
-                return
-            if self._error is not None:
-                continue  # keep consuming so close() never hangs
-            try:
-                self._committed.append(self._commit(item))
-            except BaseException as error:  # re-raised in close()
-                self._error = error
-
-    def put(self, item: Any) -> None:
-        """Enqueue one raw item for committing (non-blocking)."""
-        if self._closed:
-            raise StreamError("cannot put into a closed CommitQueue")
-        self._queue.put(item)
-
-    def close(self) -> list[Any]:
-        """Drain the backlog and return the committed results."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put(_CLOSE)
-            self._drainer.join()
-        if self._error is not None:
-            raise self._error
-        return self._committed
 
 
 @dataclass(frozen=True)
@@ -247,8 +188,7 @@ def _run_shard_body(task: ShardTask) -> ShardResult:
     prepare_seconds = time.perf_counter() - prepare_started
     rate = check_fleet_rate(recordings)
 
-    commits = CommitQueue(lambda raw: raw.commit())
-
+    raw_runs: list[RawStreamRun] = []
     started = time.perf_counter()
     assembled = drive_streams(
         config,
@@ -260,9 +200,11 @@ def _run_shard_body(task: ShardTask) -> ShardResult:
         recordings,
         attack_mask,
         task.stream_seqs,
-        commits.put,
+        raw_runs.append,
     )
-    streams = sorted(commits.close(), key=lambda s: s.index)
+    streams = [
+        raw.commit() for raw in sorted(raw_runs, key=lambda raw: raw.index)
+    ]
     # Timeline assembly is workload generation, accounted as prepare
     # (same split as the unsharded simulator).
     wall_seconds = time.perf_counter() - started - assembled
@@ -468,9 +410,8 @@ class ShardedFleetSimulator:
                         pool.submit(run_shard, task)
                         for task in tasks
                     ]
-                    # Coordinator-side commit draining: fold each
-                    # shard in as it finishes rather than barriering
-                    # on the full list.
+                    # Fold each shard in as it finishes rather than
+                    # barriering on the full list.
                     for future in as_completed(futures):
                         fold(future.result(), fleet_span)
             report = accumulator.report(config)

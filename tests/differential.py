@@ -1,12 +1,14 @@
-"""Shared bitwise-comparison helper for the differential oracles.
+"""Shared bitwise-comparison helpers for the differential oracles.
 
 The batch-vs-scalar suite (``tests/sim/test_scenarios.py``), the
 experiment equivalence suite and the generated-environment fuzz suite
 (``tests/sim/test_fuzz.py``) all compare lists of
 :class:`~repro.sim.runner.TrialOutcome`. One definition of
 "identical" — fields *and* recorded waveforms, byte for byte — keeps
-the oracle itself from drifting between files. Import it like the
-strategies module (``tests/`` is on ``sys.path``)::
+the oracle itself from drifting between files. The streaming suites
+compare guard verdicts against the offline guard the same way
+(:func:`assert_guarded_bitwise`). Import them like the strategies
+module (``tests/`` is on ``sys.path``)::
 
     from differential import outcomes_identical
 """
@@ -41,3 +43,22 @@ def outcomes_identical(a, b, compare_recordings: bool = True) -> bool:
             ):
                 return False
     return True
+
+
+def assert_guarded_bitwise(online, offline) -> None:
+    """Assert two :class:`~repro.defense.guard.GuardedOutcome` agree
+    bitwise: disposition, recognition (incl. every template distance)
+    and, when the detector ran, its score, verdict and features."""
+    assert online.executed_command == offline.executed_command
+    assert online.vetoed == offline.vetoed
+    assert online.recognition.accepted == offline.recognition.accepted
+    assert online.recognition.command == offline.recognition.command
+    assert online.recognition.distance == offline.recognition.distance
+    assert online.recognition.distances == offline.recognition.distances
+    assert (online.detection is None) == (offline.detection is None)
+    if online.detection is not None:
+        assert online.detection.score == offline.detection.score
+        assert online.detection.is_attack == offline.detection.is_attack
+        assert np.array_equal(
+            online.detection.features, offline.detection.features
+        )

@@ -4,7 +4,11 @@ The headline property: for *any* chunk-size partition of a recording,
 the gateless streaming guard's verdict, score, features and
 recognition result are **bitwise identical** to the offline
 :class:`~repro.defense.guard.GuardedVoiceAssistant` on the same
-recording — for the attack and the genuine probe alike.
+recording — for the attack and the genuine probe alike. The gated
+guard is a one-row kernel group (its oracles live in
+``test_stream_kernel.py``); the segmenter state machine is pinned
+here through one-row and two-row
+:class:`~repro.stream.segmenter.OnlineSegmenterBatch` instances.
 """
 
 from __future__ import annotations
@@ -14,33 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import assert_guarded_bitwise
 from strategies import chunk_partitions
 from repro.defense.guard import GuardedVoiceAssistant
 from repro.errors import StreamError
 from repro.sim.spec import scenario_names
 from repro.stream.guard import StreamingGuard
 from repro.stream.segmenter import (
-    OnlineSegmenter,
+    BatchClosed,
+    BatchOpened,
+    OnlineSegmenterBatch,
     SegmenterConfig,
-    UtteranceClosed,
-    UtteranceOpened,
 )
-
-
-def _assert_outcomes_bitwise(online, offline):
-    assert online.executed_command == offline.executed_command
-    assert online.vetoed == offline.vetoed
-    assert online.recognition.accepted == offline.recognition.accepted
-    assert online.recognition.command == offline.recognition.command
-    assert online.recognition.distance == offline.recognition.distance
-    assert online.recognition.distances == offline.recognition.distances
-    assert (online.detection is None) == (offline.detection is None)
-    if online.detection is not None:
-        assert online.detection.score == offline.detection.score
-        assert online.detection.is_attack == offline.detection.is_attack
-        assert np.array_equal(
-            online.detection.features, offline.detection.features
-        )
 
 
 class TestChunkedParity:
@@ -71,7 +60,7 @@ class TestChunkedParity:
             assert guard.push(samples[cursor : cursor + size]) == []
             cursor += size
         online = guard.end_utterance()
-        _assert_outcomes_bitwise(online, offline)
+        assert_guarded_bitwise(online, offline)
 
     def test_fixed_chunk_convenience_matches(
         self, stream_detector, stream_probes
@@ -90,7 +79,7 @@ class TestChunkedParity:
                     gated=False,
                 )
                 online = guard.process_recording(recording, chunk)
-                _assert_outcomes_bitwise(online, offline)
+                assert_guarded_bitwise(online, offline)
 
 
 class TestEveryScenario:
@@ -129,7 +118,7 @@ class TestEveryScenario:
                     gated=False,
                 )
                 online = guard.process_recording(recording, chunk)
-                _assert_outcomes_bitwise(online, offline)
+                assert_guarded_bitwise(online, offline)
 
 
 class TestGuardModes:
@@ -229,6 +218,41 @@ class TestGuardModes:
         assert utterance.outcome.executed_command == "ok_google"
 
 
+def _trace(events, row: int = 0) -> list[tuple]:
+    """Row ``row``'s share of segmenter events as comparable tuples."""
+    out = []
+    for event in events:
+        if isinstance(event, BatchOpened):
+            entries = [
+                (int(r), ("open", event.frame, event.start_sample))
+                for r in event.rows
+            ]
+        else:
+            entries = [
+                (int(r), ("close", event.frame, int(s), int(e), bool(f)))
+                for r, s, e, f in zip(
+                    event.rows,
+                    event.start_samples,
+                    event.end_samples,
+                    event.forced,
+                )
+            ]
+        out.extend(entry for r, entry in entries if r == row)
+    return out
+
+
+def _process(seg, first, energies):
+    """Feed one row's energies, every frame real."""
+    energies = np.asarray(energies, dtype=np.float64)[np.newaxis, :]
+    return seg.process_block(
+        first, energies, np.ones(energies.shape, dtype=bool)
+    )
+
+
+def _closed(events):
+    return [e for e in events if isinstance(e, BatchClosed)]
+
+
 class TestSegmenterStateMachine:
     CFG = SegmenterConfig(
         open_factor=4.0,
@@ -238,18 +262,19 @@ class TestSegmenterStateMachine:
         close_frames=4,
     )
 
-    def _run(self, energies):
-        seg = OnlineSegmenter(16000.0, self.CFG)
-        return seg, seg.process(0, np.asarray(energies))
+    def _run(self, energies, config=None):
+        seg = OnlineSegmenterBatch(1, 16000.0, config or self.CFG)
+        return seg, _process(seg, 0, energies)
 
     def test_opens_after_consecutive_active_frames(self):
         quiet, loud = 1.0, 10.0
         seg, events = self._run([quiet] * 10 + [loud] * 3)
-        opened = [e for e in events if isinstance(e, UtteranceOpened)]
+        opened = [e for e in events if isinstance(e, BatchOpened)]
         assert len(opened) == 1
         # Second consecutive loud frame (index 11) opens; the run
         # began at frame 10.
         assert opened[0].frame == 11
+        assert list(opened[0].rows) == [0]
         assert opened[0].start_sample == 10 * seg.hop
 
     def test_single_spike_does_not_open(self):
@@ -262,24 +287,27 @@ class TestSegmenterStateMachine:
         seg, events = self._run(
             [quiet] * 10 + [loud] * 5 + [quiet] * 12
         )
-        closed = [e for e in events if isinstance(e, UtteranceClosed)]
+        closed = _closed(events)
         assert len(closed) == 1
         last_voiced = 14  # frames 10..14 are loud
         assert closed[0].frame == last_voiced + 3 + 4
         assert (
-            closed[0].end_sample
+            closed[0].end_samples[0]
             == last_voiced * seg.hop + seg.frame_len + seg.pad
         )
-        assert not closed[0].forced
+        assert not closed[0].forced[0]
 
     def test_hysteresis_keeps_soft_tail_voiced(self):
         quiet, loud, soft = 1.0, 10.0, 3.0  # soft > close_factor*floor
         seg, events = self._run(
             [quiet] * 10 + [loud] * 3 + [soft] * 5 + [quiet] * 12
         )
-        closed = [e for e in events if isinstance(e, UtteranceClosed)]
+        closed = _closed(events)
         assert len(closed) == 1
-        assert closed[0].end_sample == 17 * seg.hop + seg.frame_len + seg.pad
+        assert (
+            closed[0].end_samples[0]
+            == 17 * seg.hop + seg.frame_len + seg.pad
+        )
 
     def test_forced_close_at_max_utterance(self):
         config = SegmenterConfig(
@@ -288,14 +316,11 @@ class TestSegmenterStateMachine:
             close_frames=4,
             max_utterance_s=0.5,
         )
-        seg = OnlineSegmenter(16000.0, config)
-        events = seg.process(
-            0, np.asarray([1.0] * 10 + [10.0] * 100)
-        )
-        closed = [e for e in events if isinstance(e, UtteranceClosed)]
-        assert closed and closed[0].forced
+        seg, events = self._run([1.0] * 10 + [10.0] * 100, config)
+        closed = _closed(events)
+        assert closed and closed[0].forced[0]
         assert (
-            closed[0].end_sample - closed[0].start_sample
+            closed[0].end_samples[0] - closed[0].start_samples[0]
             == seg.max_samples
         )
 
@@ -322,18 +347,15 @@ class TestSegmenterStateMachine:
         )
         n_quiet = data.draw(st.integers(min_value=3, max_value=12))
         energies = np.asarray([1.0] * n_quiet + [10.0] * 80)
-        offline_seg = OnlineSegmenter(16000.0, config)
-        offline_events = offline_seg.process(0, energies)
-        closed = [
-            e for e in offline_events if isinstance(e, UtteranceClosed)
-        ]
-        assert closed and closed[0].forced
+        offline_seg, offline_events = self._run(energies, config)
+        closed = _closed(offline_events)
+        assert closed and closed[0].forced[0]
         # The span is capped at exactly max_samples (0.5 s lands on
         # the frame grid: 8000 samples = 48 hops past the opening
         # frame), so the boundary below cuts at the precise frame
         # where the cap trips.
         assert (
-            closed[0].end_sample - closed[0].start_sample
+            closed[0].end_samples[0] - closed[0].start_samples[0]
             == offline_seg.max_samples
         )
         force_frame = closed[0].frame
@@ -350,34 +372,58 @@ class TestSegmenterStateMachine:
             data.draw(st.sampled_from([force_frame, force_frame + 1]))
         )
         edges = [0] + sorted(cuts) + [len(energies)]
-        streamed_seg = OnlineSegmenter(16000.0, config)
+        streamed_seg = OnlineSegmenterBatch(1, 16000.0, config)
         streamed_events = []
         for start, end in zip(edges, edges[1:]):
             streamed_events.extend(
-                streamed_seg.process(start, energies[start:end])
+                _process(streamed_seg, start, energies[start:end])
             )
-        assert streamed_events == offline_events
+        assert _trace(streamed_events) == _trace(offline_events)
 
     def test_out_of_order_frames_rejected(self):
-        seg = OnlineSegmenter(16000.0, self.CFG)
-        seg.process(0, np.ones(5))
+        seg, _ = self._run(np.ones(5))
         with pytest.raises(StreamError):
-            seg.process(3, np.ones(5))
+            _process(seg, 3, np.ones(5))
 
     def test_commit_bound_monotone_and_capped(self):
         quiet, loud = 1.0, 10.0
-        seg = OnlineSegmenter(16000.0, self.CFG)
-        seg.process(0, np.asarray([quiet] * 10 + [loud] * 3))
-        assert seg.in_utterance
+        seg, _ = self._run([quiet] * 10 + [loud] * 3)
+        assert seg.in_utterance[0]
         head = 13 * seg.hop + seg.frame_len
-        bound = seg.commit_bound(head)
-        assert seg.utterance_start <= bound <= head
-        assert seg.commit_bound(head + 100) >= bound
+        bound = seg.commit_bounds(np.array([head]))[0]
+        assert seg.utterance_starts[0] <= bound <= head
+        assert seg.commit_bounds(np.array([head + 100]))[0] >= bound
 
     def test_flush_closes_open_utterance(self):
         quiet, loud = 1.0, 10.0
-        seg = OnlineSegmenter(16000.0, self.CFG)
-        seg.process(0, np.asarray([quiet] * 10 + [loud] * 5))
-        event = seg.flush(head=15 * seg.hop + seg.frame_len)
-        assert isinstance(event, UtteranceClosed)
-        assert seg.flush(head=0) is None
+        seg, _ = self._run([quiet] * 10 + [loud] * 5)
+        head = 15 * seg.hop + seg.frame_len
+        event = seg.flush_open_rows(np.array([head]))
+        assert isinstance(event, BatchClosed)
+        assert list(event.rows) == [0]
+        assert event.end_samples[0] <= head
+        assert not event.forced[0]
+        assert seg.flush_open_rows(np.array([0])) is None
+
+    def test_rows_with_different_energies_evolve_independently(self):
+        """Two rows, different speech and different lengths: each
+        row's events are a one-row segmenter's on that row's energies
+        alone, and the shorter row freezes where its ``valid`` mask
+        ends."""
+        quiet, loud = 1.0, 10.0
+        rows = np.array(
+            [
+                [quiet] * 10 + [loud] * 5 + [quiet] * 25,
+                [quiet] * 20 + [loud] * 8 + [quiet] * 12,
+            ]
+        )
+        real = [40, 34]  # row 1's last 6 frames are padding
+        valid = np.arange(rows.shape[1])[np.newaxis, :] < np.array(
+            real
+        )[:, np.newaxis]
+        seg = OnlineSegmenterBatch(2, 16000.0, self.CFG)
+        events = seg.process_block(0, rows, valid)
+        for row in range(2):
+            _, alone = self._run(rows[row, : real[row]])
+            assert _trace(events, row) == _trace(alone)
+            assert _trace(alone), "each row must open and close"

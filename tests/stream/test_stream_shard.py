@@ -1,4 +1,4 @@
-"""Sharded fleet driver: partition invariance, merging, commit queue.
+"""Sharded fleet driver: partition invariance and merging.
 
 The core claim of :mod:`repro.stream.shard` is that sharding is pure
 plumbing — *any* partition of the fleet's streams into shards, run
@@ -7,8 +7,7 @@ accumulator, is bitwise identical to the unsharded
 :class:`~repro.stream.fleet.FleetSimulator`. A hypothesis property
 pins it over random partitions (non-contiguous, unordered), a
 process-pool test pins the real executor path, and unit tests nail
-the accumulator's double-count/missing-stream validation and the
-commit queue's draining semantics.
+the accumulator's double-count/missing-stream validation.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from strategies import index_partitions
 from repro.errors import StreamError
 from repro.stream.fleet import FleetConfig, FleetSimulator
 from repro.stream.shard import (
-    CommitQueue,
     ShardAccumulator,
     ShardedFleetSimulator,
     ShardResult,
@@ -201,35 +199,3 @@ class TestAccumulator:
         # wall: slowest shard; per-shard walls in shard order
         assert merged.shard_wall_seconds == (0.2, 0.2)
         assert merged.wall_seconds == 0.2
-
-
-class TestCommitQueue:
-    def test_commits_in_put_order(self):
-        queue = CommitQueue(lambda x: x * 2)
-        for value in range(20):
-            queue.put(value)
-        assert queue.close() == [v * 2 for v in range(20)]
-
-    def test_close_is_idempotent(self):
-        queue = CommitQueue(lambda x: x)
-        queue.put(1)
-        assert queue.close() == [1]
-        assert queue.close() == [1]
-
-    def test_put_after_close_rejected(self):
-        queue = CommitQueue(lambda x: x)
-        queue.close()
-        with pytest.raises(StreamError):
-            queue.put(1)
-
-    def test_commit_error_surfaces_at_close(self):
-        def explode(value):
-            if value == 2:
-                raise ValueError("boom")
-            return value
-
-        queue = CommitQueue(explode)
-        for value in range(5):
-            queue.put(value)
-        with pytest.raises(ValueError, match="boom"):
-            queue.close()
