@@ -23,7 +23,11 @@ agree bitwise before any timing is reported:
 The results — plus a per-stage wall-time breakdown from the
 pipeline's :class:`~repro.sim.pipeline.StageProfile` hook — are
 written to ``BENCH_pipeline.json`` so CI records the perf trajectory
-run over run::
+run over run. Memory rides along: ``peak_rss_mb`` (``ru_maxrss`` of
+the whole run) and ``context_peak_mb``, the traced allocation peak of
+one T2-cell :meth:`~repro.sim.pipeline.TrialPipeline.context` (the
+32-speaker transmit), which stays a few waveforms whatever the
+speaker count::
 
     python benchmarks/bench_pipeline.py --quick    # CI smoke
     python benchmarks/bench_pipeline.py            # gated paper numbers
@@ -41,12 +45,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.defense.dataset import DatasetConfig, build_dataset
 from repro.experiments._emissions import array_split
-from repro.sim.bench import write_bench_record
+from repro.sim.bench import peak_rss_mb, write_bench_record
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.pipeline import StageProfile, build_pipeline
 from repro.sim.results import ResultTable
@@ -159,6 +164,26 @@ def profile_stages(quick: bool, seed: int) -> StageProfile:
     return profile
 
 
+def context_peak_mb(seed: int) -> float:
+    """Traced allocation peak of one T2-cell transmit precompute, MiB.
+
+    The emission is built before tracing starts, so the figure is the
+    working set of :meth:`~repro.sim.pipeline.TrialPipeline.context`
+    alone: the per-source fold over the 32-speaker array.
+    """
+    group = _trial_group("free_field", seed, 1)
+    sources = group.resolve_sources()
+    pipeline = build_pipeline(group.scenario, group.device)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline.context(sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 2**20
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="trial pipeline: scalar vs batched wall clock"
@@ -195,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         bench_dataset_build(args.quick, args.seed, dataset_gate),
     ]
     profile = profile_stages(args.quick, args.seed)
-    write_bench_record(
+    context_peak = context_peak_mb(args.seed)
+    record = write_bench_record(
         args.output,
         {
             "benchmark": "trial-pipeline scalar vs batched",
@@ -203,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "results": results,
             "stages": profile.as_rows(),
+            "context_peak_mb": context_peak,
+            "peak_rss_mb": peak_rss_mb(),
         },
     )
     table = ResultTable(
@@ -217,6 +245,10 @@ def main(argv: list[str] | None = None) -> int:
             result["speedup"],
         )
     print(table.render())
+    print(
+        f"peak RSS: {record['peak_rss_mb']:.1f} MiB; T2 transmit "
+        f"peak: {record['context_peak_mb']:.1f} MiB"
+    )
     print(profile.render(), file=sys.stderr)
     print(f"wrote {args.output}", file=sys.stderr)
     if not all(result["identical"] for result in results):

@@ -56,14 +56,13 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import resource
 import sys
 
 from repro.experiments.s1_streaming import (
     chunked_parity_probes,
     train_detector,
 )
-from repro.sim.bench import write_bench_record
+from repro.sim.bench import peak_rss_mb, write_bench_record
 from repro.sim.pipeline import StageProfile
 from repro.sim.results import ResultTable
 from repro.stream.fleet import FleetConfig, FleetSimulator
@@ -93,15 +92,6 @@ MEGA_STREAMS = 10_000
 #: identical across every pass, so repetition can never mask a
 #: correctness drift.
 REPEATS = 3
-
-
-def peak_rss_mb() -> float:
-    """Largest resident set (``ru_maxrss``) of this process or of any
-    shard process it has waited for, in MiB."""
-    return max(
-        resource.getrusage(who).ru_maxrss
-        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    ) / 1024.0
 
 
 def bench_parity(seed: int, scenario: str) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
 from repro.acoustics.room import ImageSourceRoomModel
-from repro.dsp.signals import Signal, SignalBatch, Unit, mix, white_noise
+from repro.dsp.signals import Signal, SignalBatch, Unit, white_noise
 from repro.errors import GeometryError, SignalDomainError
 
 
@@ -106,76 +106,33 @@ class AcousticChannel:
 
         This is the trial-invariant half of :meth:`receive` — for a
         fixed emission and geometry every trial shares this waveform,
-        which is why the batched trial kernel computes it exactly once
-        per trial group. Free-field transmissions of equal-length
-        sources run through
-        :meth:`~repro.acoustics.propagation.PropagationModel.propagate_batch`
-        (one stacked FFT for the whole rig); room transmissions stack
-        each source's direct + six image paths through the same kernel
-        (:meth:`~repro.acoustics.room.ImageSourceRoomModel.transmit_batch`);
-        mixed lengths and subclassed propagation models take the
-        per-source, per-path scalar path. All produce bitwise
-        identical sums.
+        which is why the trial pipeline computes it exactly once per
+        trial group. One loop folds each source's arrival into a
+        running total, in source order: the zero-padded left fold of
+        :func:`~repro.dsp.signals.mix`, so the result is bitwise
+        ``mix`` of the per-source arrivals. Only the running sum and
+        one arrival are alive at a time, so the working set is a few
+        waveforms whatever the speaker count. A room with the stock
+        :class:`PropagationModel` fans each source over its direct and
+        image paths in one
+        :meth:`~repro.acoustics.room.ImageSourceRoomModel.transmit_batch`
+        call; a subclassed propagation model keeps its overridden
+        ``propagate`` on the per-path scalar walk.
         """
         if not sources:
-            raise SignalDomainError("receive requires at least one source")
+            raise SignalDomainError("transmit requires at least one source")
         rates = {s.pressure_at_1m.sample_rate for s in sources}
         if len(rates) != 1:
             raise SignalDomainError(
                 f"all sources must share one sample rate, got {sorted(rates)}"
             )
-        if (
-            self.room is not None
-            and type(self.propagation) is PropagationModel
-        ):
-            model = ImageSourceRoomModel(
-                room=self.room, propagation=self.propagation
-            )
-            return mix(
-                [
-                    model.transmit_batch(
-                        source.pressure_at_1m, source.position, receiver
-                    )
-                    for source in sources
-                ]
-            )
-        lengths = {s.pressure_at_1m.n_samples for s in sources}
-        batchable = (
-            self.room is None
-            and len(sources) > 1
-            and len(lengths) == 1
-            and type(self.propagation) is PropagationModel
-        )
-        if batchable:
-            distances = []
-            for source in sources:
-                d = source.position.distance_to(receiver)
-                if d == 0.0:
-                    raise GeometryError(
-                        "source and receiver are coincident; no "
-                        "propagation path exists"
-                    )
-                distances.append(d)
-            rate = sources[0].pressure_at_1m.sample_rate
-            stack = np.stack(
-                [s.pressure_at_1m.samples for s in sources]
-            )
-            arrived = self.propagation.propagate_batch(
-                stack, rate, distances
-            )
-            # Sequential row accumulation matches mix()'s fold order.
-            acc = arrived[0].copy()
-            for row in arrived[1:]:
-                acc = np.add(acc, row)
-            return Signal(acc, rate, Unit.PASCAL)
-        contributions = []
+        total: Signal | None = None
         for source in sources:
-            contributions.append(
-                self._transmit_one(
-                    source.pressure_at_1m, source.position, receiver
-                )
+            arrived = self._transmit_one(
+                source.pressure_at_1m, source.position, receiver
             )
-        return mix(contributions)
+            total = arrived if total is None else total + arrived
+        return total
 
     def receive_batch(
         self,
@@ -256,10 +213,13 @@ class AcousticChannel:
     def _transmit_one(
         self, pressure_at_1m: Signal, source: Position, receiver: Position
     ) -> Signal:
+        """One source's arrival at ``receiver``, all paths summed."""
         if self.room is not None:
             model = ImageSourceRoomModel(
                 room=self.room, propagation=self.propagation
             )
+            if type(self.propagation) is PropagationModel:
+                return model.transmit_batch(pressure_at_1m, source, receiver)
             return model.transmit(pressure_at_1m, source, receiver)
         d = source.distance_to(receiver)
         if d == 0.0:

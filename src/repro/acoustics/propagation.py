@@ -109,28 +109,19 @@ class PropagationModel:
         :meth:`propagate_batch` so the two paths are bitwise identical
         per (waveform, distance) by construction.
 
-        Results are memoised per (bin layout, distance): conditions are
-        fixed per model instance, and a trial group evaluates the same
-        layout for every source and the same distance for every
-        re-visit of a cell, so repeated calls return the cached gain
-        row instead of re-running the scalar ISO model 64 times.
+        Nothing is memoised: a cached row per distance would be half a
+        waveform retained per distinct path length, which for a
+        speaker array in a room (seven paths per source) outgrows the
+        arrivals themselves, while the 64-point model and the
+        interpolation cost well under a millisecond per call.
         """
-        key = (len(freqs), float(freqs[-1]), float(distance_m))
-        cache = self.__dict__.setdefault("_gain_cache", {})
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        if len(freqs) > 64:
-            grid = np.geomspace(
-                max(freqs[1], 1.0), max(freqs[-1], 2.0), num=64
-            )
-            grid_gain = self.absorption_gain(grid, distance_m)
-            gains = np.interp(freqs, grid, grid_gain, left=1.0)
-        else:
-            gains = self.absorption_gain(freqs, distance_m)
-        gains.setflags(write=False)
-        cache[key] = gains
-        return gains
+        if len(freqs) <= 64:
+            return self.absorption_gain(freqs, distance_m)
+        grid = np.geomspace(
+            max(freqs[1], 1.0), max(freqs[-1], 2.0), num=64
+        )
+        grid_gain = self.absorption_gain(grid, distance_m)
+        return np.interp(freqs, grid, grid_gain, left=1.0)
 
     def propagate(self, pressure_at_1m: Signal, distance_m: float) -> Signal:
         """Propagate a pressure waveform from 1 m to ``distance_m``.
@@ -162,56 +153,43 @@ class PropagationModel:
         return out
 
     def propagate_batch(
-        self,
-        pressures_at_1m: np.ndarray,
-        sample_rate: float,
-        distances_m: Sequence[float],
-        shared_input: bool = False,
+        self, pressure_at_1m: Signal, distances_m: Sequence[float]
     ) -> np.ndarray:
-        """Propagate a stack of equal-length waveforms, one per path.
+        """Propagate one waveform over several paths at once.
 
-        The batched counterpart of :meth:`propagate` for free-field
-        multi-source channels: row ``i`` of the returned array is the
-        waveform ``pressures_at_1m[i]`` propagated over
-        ``distances_m[i]``, zero-padded to the common post-delay
-        length. The spreading/absorption spectrum shaping runs as one
-        two-dimensional FFT over the whole stack; per-row gains and the
-        fractional-sample delay reuse exactly the scalar code paths, so
-        each row is bitwise identical to
-        ``propagate(Signal(row), d)`` — summing the rows reproduces
-        :func:`repro.dsp.signals.mix` of the scalar results.
-
-        ``shared_input`` declares that every row of the stack is the
-        *same* waveform (a room model fanning one source over its
-        reflection paths): the forward FFT is then computed once and
-        broadcast instead of once per row — bitwise identical output
-        (identical rows have identical spectra), ~``n_paths``× less
-        forward-FFT work.
+        The fan-out counterpart of :meth:`propagate` for a room model
+        spreading one source over its direct and image paths: row
+        ``i`` of the returned ``(n_paths, n)`` array is
+        ``propagate(pressure_at_1m, distances_m[i])``, bitwise,
+        zero-padded to the longest post-delay length — so folding the
+        rows reproduces :func:`repro.dsp.signals.mix` of the scalar
+        results. The forward FFT is computed once and broadcast over
+        the paths; the per-path gains, spreading and fractional-sample
+        delay reuse exactly the scalar arithmetic. Memory is
+        ``n_paths`` waveforms: callers fan out over a handful of
+        reflection paths, never over sources.
         """
-        stack = np.asarray(pressures_at_1m, dtype=np.float64)
-        if stack.ndim != 2:
+        if pressure_at_1m.unit != Unit.PASCAL:
             raise SignalDomainError(
-                "propagate_batch expects a 2-D (n_paths, n_samples) "
-                f"stack, got shape {stack.shape}"
+                "propagate_batch expects a pressure waveform in "
+                f"pascals, got unit {pressure_at_1m.unit!r}"
             )
         distances = [float(d) for d in distances_m]
-        if len(distances) != stack.shape[0]:
+        if not distances:
             raise SignalDomainError(
-                f"{stack.shape[0]} waveforms but {len(distances)} "
-                "distances"
+                "propagate_batch needs at least one distance"
             )
         for distance in distances:
             if distance <= 0:
                 raise SignalDomainError(
                     f"distance must be positive, got {distance}"
                 )
-        n = stack.shape[-1]
-        if shared_input:
-            spectra = np.broadcast_to(
-                sp_fft.rfft(stack[0]), (stack.shape[0], n // 2 + 1)
-            )
-        else:
-            spectra = sp_fft.rfft(stack, axis=-1)
+        n = pressure_at_1m.n_samples
+        sample_rate = pressure_at_1m.sample_rate
+        spectra = np.broadcast_to(
+            sp_fft.rfft(pressure_at_1m.samples),
+            (len(distances), n // 2 + 1),
+        )
         freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
         # Per-path gain rows via the same coarse-grid interpolation the
         # scalar path uses (bitwise identical per row).
@@ -237,8 +215,7 @@ class PropagationModel:
                 row = np.interp(x - frac, x, row, left=0.0, right=0.0)
             wholes.append(whole)
             shifted_rows.append(row)
-        max_len = n + max(wholes)
-        out = np.zeros((stack.shape[0], max_len))
+        out = np.zeros((len(distances), n + max(wholes)))
         for index, (whole, row) in enumerate(zip(wholes, shifted_rows)):
             out[index, whole : whole + n] = row
         return out

@@ -112,16 +112,19 @@ class ImageSourceRoomModel:
     def transmit_batch(
         self, pressure_at_1m: Signal, source: Position, receiver: Position
     ) -> Signal:
-        """:meth:`transmit` through the stacked per-path FFT kernel.
+        """:meth:`transmit` through the fan-out propagation kernel.
 
-        The direct path and the six first-order images are stacked into
-        one :meth:`~repro.acoustics.propagation.PropagationModel.propagate_batch`
-        call — a single two-dimensional FFT for the whole reflection
-        fan — and the rows are folded in path order with their wall
-        amplitude factors. Because ``propagate_batch`` is bitwise
-        identical per row to ``propagate`` and the fold replicates
-        :func:`~repro.dsp.signals.mix`'s zero-padded left fold, the
-        result is bitwise identical to :meth:`transmit`.
+        The direct path and the six first-order images go through one
+        :meth:`~repro.acoustics.propagation.PropagationModel.propagate_batch`
+        call — one forward FFT of the source, broadcast over the
+        reflection fan — and the rows are folded in path order with
+        their wall amplitude factors. Because ``propagate_batch`` is
+        bitwise identical per row to ``propagate`` and the fold
+        replicates :func:`~repro.dsp.signals.mix`'s zero-padded left
+        fold, the result is bitwise identical to :meth:`transmit`.
+        Memory is one ``(n_paths, n)`` fan for this source; the
+        acoustic channel calls this once per source and folds the
+        arrivals, so a speaker array never stacks.
 
         Only valid for the stock :class:`PropagationModel`: a subclass
         overriding ``propagate`` would be silently bypassed here, so
@@ -129,15 +132,8 @@ class ImageSourceRoomModel:
         through the scalar path.
         """
         paths = self.paths(source, receiver)
-        stack = np.broadcast_to(
-            pressure_at_1m.samples,
-            (len(paths), pressure_at_1m.n_samples),
-        )
         arrived = self.propagation.propagate_batch(
-            stack,
-            pressure_at_1m.sample_rate,
-            [path.distance_m for path in paths],
-            shared_input=True,
+            pressure_at_1m, [path.distance_m for path in paths]
         )
         total = arrived[0] * paths[0].amplitude_factor
         for row, path in zip(arrived[1:], paths[1:]):

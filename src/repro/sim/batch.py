@@ -26,7 +26,6 @@ for every registered environment.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -109,7 +108,10 @@ def run_group_batch(
     if not rngs:
         raise ExperimentError("run_group_batch needs >= 1 trial generator")
     pipeline = build_pipeline(
-        group.scenario, group.device, precision=precision
+        group.scenario,
+        group.device,
+        precision=precision,
+        keep_recordings=keep_recordings,
     )
     support = pipeline.batch_support()
     if not support:
@@ -119,9 +121,4 @@ def run_group_batch(
             "falls back to the scalar path automatically"
         )
     ctx = pipeline.context(group.resolve_sources())
-    outcomes = pipeline.run_trials(ctx, rngs, batch=True)
-    if not keep_recordings:
-        outcomes = [
-            replace(outcome, recording=None) for outcome in outcomes
-        ]
-    return outcomes
+    return pipeline.run_trials(ctx, rngs, batch=True)

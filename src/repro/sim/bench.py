@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import subprocess
 import time
 from pathlib import Path
@@ -67,6 +68,15 @@ def machine_metadata() -> dict[str, Any]:
         "scipy": scipy.__version__,
         "git_sha": git_sha(),
     }
+
+
+def peak_rss_mb() -> float:
+    """Largest resident set (``ru_maxrss``) of this process or of any
+    child process it has waited for, in MiB."""
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
 
 
 def write_bench_record(

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -173,8 +173,10 @@ def _run_trial_batch(
 
     When the caller only wants success statistics,
     ``keep_recordings=False`` drops each outcome's device-rate
-    waveform *before* it is pickled back — at 50 trials per cell the
-    recordings, not the results, are the dominant IPC cost.
+    waveform inside the pipeline's recognise stage, one trial chunk at
+    a time, so neither the task's memory nor the pickle sent back
+    holds the recordings — at 50 trials per cell they, not the
+    results, are the dominant IPC cost.
 
     An optional sixth tuple element requests tracing. Pool workers
     cannot see the coordinator's ambient tracer, so the flag travels
@@ -190,16 +192,13 @@ def _run_trial_batch(
 
     def execute() -> list[TrialOutcome]:
         pipeline = build_pipeline(
-            group.scenario, group.device, precision=precision
+            group.scenario,
+            group.device,
+            precision=precision,
+            keep_recordings=keep_recordings,
         )
         ctx = pipeline.context(group.resolve_sources())
-        outcomes = pipeline.run_trials(ctx, rngs, batch=use_batch)
-        if not keep_recordings:
-            outcomes = [
-                replace(outcome, recording=None)
-                for outcome in outcomes
-            ]
-        return outcomes
+        return pipeline.run_trials(ctx, rngs, batch=use_batch)
 
     if not trace:
         return execute()

@@ -784,8 +784,15 @@ def record_stages(microphone: Microphone) -> list[Stage]:
     ]
 
 
-def recognize_stage(scenario: Scenario, device: VictimDevice) -> Stage:
-    """Run the recogniser and fold the verdict into a TrialOutcome."""
+def recognize_stage(
+    scenario: Scenario, device: VictimDevice, keep_recordings: bool = True
+) -> Stage:
+    """Run the recogniser and fold the verdict into a TrialOutcome.
+
+    With ``keep_recordings=False`` the fold leaves ``recording`` as
+    ``None``, so each chunk's device-rate stack is freed as soon as
+    the chunk is recognised instead of living until the task ends.
+    """
 
     def fold(result, recording: Signal) -> TrialOutcome:
         return TrialOutcome(
@@ -794,7 +801,7 @@ def recognize_stage(scenario: Scenario, device: VictimDevice) -> Stage:
             recognized_command=result.command,
             accepted=result.accepted,
             distance=result.distance,
-            recording=recording,
+            recording=recording if keep_recordings else None,
         )
 
     def outcome(recording: Signal) -> TrialOutcome:
@@ -831,6 +838,7 @@ def build_pipeline(
     gain_stage: Stage | None = None,
     invariants: EmissionCache | None = None,
     precision: str | None = None,
+    keep_recordings: bool = True,
 ) -> TrialPipeline:
     """Assemble the trial pipeline for a (scenario, device) pair.
 
@@ -872,6 +880,10 @@ def build_pipeline(
         float64 at the boundary). ``None`` defers to the
         ``REPRO_FAST_MATH`` environment variable; see
         :func:`resolve_precision`.
+    keep_recordings:
+        Whether each :class:`TrialOutcome` carries its device-rate
+        recording. ``False`` drops it inside the recognise stage, one
+        trial chunk at a time.
     """
     if isinstance(device, Microphone):
         if recognize:
@@ -901,7 +913,9 @@ def build_pipeline(
     stages.append(ambient_stage(channel))
     stages.extend(record_stages(microphone))
     if recognize:
-        stages.append(recognize_stage(scenario, device))
+        stages.append(
+            recognize_stage(scenario, device, keep_recordings)
+        )
     if invariants is None:
         invariants = EmissionCache(max_entries=_INVARIANT_CACHE_ENTRIES)
 

@@ -1,13 +1,16 @@
 """Unit tests for the multi-source acoustic channel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.acoustics.channel import AcousticChannel, PlacedSource
 from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
+from repro.acoustics.room import ImageSourceRoomModel
 from repro.acoustics.spl import pressure_to_spl
-from repro.dsp.signals import Unit, tone
+from repro.dsp.signals import Unit, mix, tone
 from repro.dsp.spectrum import band_power
 from repro.errors import GeometryError, SignalDomainError
 
@@ -65,7 +68,9 @@ class TestReceive:
 
     def test_empty_sources_rejected(self, rng):
         channel = AcousticChannel(ambient_noise_spl=None)
-        with pytest.raises(SignalDomainError):
+        with pytest.raises(
+            SignalDomainError, match="transmit requires at least one source"
+        ):
             channel.receive([], Position(1, 0, 0))
 
     def test_mixed_rates_rejected(self, rng):
@@ -125,34 +130,93 @@ class TestReceive:
 
 
 class TestBatchedTransmission:
-    """transmit()'s stacked-FFT fast path must be bitwise scalar.
+    """transmit() folds one arrival per source; it must be bitwise mix.
 
-    Both engine modes route multi-source free-field groups through
-    this path, so no CLI diff can catch a drift — only this pin can.
+    Both engine modes share the one transmitted waveform per trial
+    group, so no batch-vs-scalar CLI diff can catch a drift in the
+    fold — only these pins can.
     """
 
-    def _sources(self, n):
+    def _sources(self, n, duration=0.1):
         return [
-            _source(1000.0 * (i + 1), Position(0.2 * i, 0.0, 0.0))
+            _source(
+                1000.0 * (i % 8 + 1), Position(0.2 * i, 0.0, 0.0), duration
+            )
             for i in range(n)
         ]
 
-    def test_multi_source_transmit_bitwise_equals_per_source_mix(self):
-        from repro.dsp.signals import mix
-
-        channel = AcousticChannel(ambient_noise_spl=None)
-        sources = self._sources(4)
-        receiver = Position(3.0, 0.5, 0.0)
-        fast = channel.transmit(sources, receiver)
-        slow = mix(
+    @staticmethod
+    def _free_field_mix(channel, sources, receiver):
+        return mix(
             [
-                channel._transmit_one(
-                    s.pressure_at_1m, s.position, receiver
+                channel.propagation.propagate(
+                    s.pressure_at_1m, s.position.distance_to(receiver)
                 )
                 for s in sources
             ]
         )
+
+    def test_multi_source_transmit_bitwise_equals_per_source_mix(self):
+        channel = AcousticChannel(ambient_noise_spl=None)
+        sources = self._sources(4)
+        receiver = Position(3.0, 0.5, 0.0)
+        fast = channel.transmit(sources, receiver)
+        slow = self._free_field_mix(channel, sources, receiver)
         assert np.array_equal(fast.samples, slow.samples)
+
+    def test_room_multi_source_transmit_bitwise_equals_mix(self):
+        room = Room.meeting_room()
+        channel = AcousticChannel(room=room, ambient_noise_spl=None)
+        model = ImageSourceRoomModel(room=room)
+        receiver = Position(4.5, 2.0, 1.2)
+        sources = [
+            _source(1000.0 * (i + 1), Position(0.5 + 0.3 * i, 1.5, 1.0))
+            for i in range(5)
+        ]
+        transmitted = channel.transmit(sources, receiver)
+        expected = mix(
+            [
+                model.transmit(s.pressure_at_1m, s.position, receiver)
+                for s in sources
+            ]
+        )
+        assert np.array_equal(transmitted.samples, expected.samples)
+
+    def test_mixed_length_free_field_bitwise_equals_mix(self):
+        channel = AcousticChannel(ambient_noise_spl=None)
+        receiver = Position(3.0, 0.5, 0.0)
+        # Unequal lengths and a far source, so both the running total
+        # and the arrival need zero-padding at some step of the fold.
+        sources = [
+            _source(1000.0, Position(0.0, 0.0, 0.0), 0.1),
+            _source(2000.0, Position(0.4, 0.0, 0.0), 0.05),
+            _source(3000.0, Position(-6.0, 0.0, 0.0), 0.02),
+            _source(4000.0, Position(0.8, 0.0, 0.0), 0.13),
+        ]
+        transmitted = channel.transmit(sources, receiver)
+        expected = self._free_field_mix(channel, sources, receiver)
+        assert np.array_equal(transmitted.samples, expected.samples)
+
+    def test_peak_memory_does_not_grow_with_source_count(self):
+        """Only the running total and one arrival are ever alive, so 32
+        speakers cost at most one more arrived waveform than 4."""
+        channel = AcousticChannel(ambient_noise_spl=None)
+        receiver = Position(3.0, 0.5, 0.0)
+        sources = self._sources(32, duration=0.25)
+
+        def peak_bytes(subset):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                arrived = channel.transmit(subset, receiver)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - before, arrived.samples.nbytes
+
+        few, _ = peak_bytes(sources[:4])
+        many, arrived_bytes = peak_bytes(sources)
+        assert many - few <= arrived_bytes
 
     def test_subclassed_propagation_takes_scalar_path(self):
         class TaggedPropagation(PropagationModel):

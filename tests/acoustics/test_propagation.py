@@ -86,14 +86,29 @@ class TestPropagate:
 
 class TestSharedInputBatch:
     def test_shared_spectrum_path_is_bitwise_identical(self):
-        import numpy as np
+        """One broadcast forward FFT, rows bitwise equal to propagate."""
+        from repro.dsp.signals import Signal
 
         model = PropagationModel()
-        wave = np.random.default_rng(3).normal(size=4096)
-        stack = np.tile(wave, (7, 1))
-        distances = [1.0, 2.5, 3.3, 4.1, 5.0, 6.2, 7.7]
-        plain = model.propagate_batch(stack, 192000.0, distances)
-        shared = model.propagate_batch(
-            stack, 192000.0, distances, shared_input=True
+        wave = Signal(
+            np.random.default_rng(3).normal(size=4096),
+            192000.0,
+            Unit.PASCAL,
         )
-        assert np.array_equal(plain, shared)
+        distances = [1.0, 2.5, 3.3, 4.1, 5.0, 6.2, 7.7]
+        fan = model.propagate_batch(wave, distances)
+        assert fan.shape[0] == len(distances)
+        for row, distance in zip(fan, distances):
+            scalar = model.propagate(wave, distance).samples
+            assert np.array_equal(row[: len(scalar)], scalar)
+            assert not row[len(scalar) :].any()
+
+    def test_rejects_bad_inputs(self):
+        model = PropagationModel()
+        wave = tone(1000.0, 0.01, 48000.0, unit=Unit.PASCAL)
+        with pytest.raises(SignalDomainError, match="pascals"):
+            model.propagate_batch(wave.with_unit(Unit.VOLT), [1.0])
+        with pytest.raises(SignalDomainError, match="at least one"):
+            model.propagate_batch(wave, [])
+        with pytest.raises(SignalDomainError, match="positive"):
+            model.propagate_batch(wave, [1.0, 0.0])

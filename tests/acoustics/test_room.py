@@ -82,13 +82,13 @@ class TestTransmit:
 
 
 class TestTransmitBatch:
-    """The stacked reflection-fan kernel must be bitwise scalar.
+    """The reflection-fan kernel must be bitwise scalar.
 
     Room scenarios route through transmit_batch in *both* engine
     modes, so the batch-vs-scalar CLI diff cannot catch a drift
-    between the 7-row stacked FFT and per-path propagate + mix — only
-    this pin can (the room counterpart of the free-field
-    propagate_batch pin in tests/test_properties.py).
+    between the 7-path broadcast-FFT fan-out and per-path propagate +
+    mix — only this pin can (next to the propagate_batch fan-out pin
+    in tests/test_properties.py).
     """
 
     def test_bitwise_equals_transmit(self, room_model):

@@ -1,13 +1,16 @@
 """Unit tests for the microphone chain — the attack's enabling device."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.acoustics.spl import spl_to_pressure
 from repro.dsp.modulation import am_modulate
-from repro.dsp.signals import Unit, tone
+from repro.dsp.signals import SignalBatch, Unit, tone
 from repro.dsp.spectrum import band_power, welch_psd
 from repro.hardware.devices import (
+    amazon_echo_microphone,
     android_phone_microphone,
     ideal_linear_microphone,
 )
@@ -172,3 +175,45 @@ class TestConfigValidation:
     def test_dc_block_range_enforced(self):
         with pytest.raises(HardwareModelError):
             MicrophoneConfig(dc_block_hz=30.0)
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize(
+        "factory", [android_phone_microphone, amazon_echo_microphone]
+    )
+    def test_analog_chain_peak_is_three_stacks(self, factory):
+        """Each stage's input is freed once the next has run and the
+        self-noise lands in place, so the chain never holds more than
+        three stacks beside its input (a cover's spectral shaping
+        included)."""
+        microphone = factory()
+        samples = np.random.default_rng(0).normal(0.0, 0.5, (8, 19200))
+        pressure = SignalBatch(samples, RATE, Unit.PASCAL)
+
+        def rngs():
+            return [np.random.default_rng(k) for k in range(8)]
+
+        # Warm the filter-design cache outside the traced call.
+        microphone.record_analog_batch(pressure, rngs())
+        generators = rngs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            microphone.record_analog_batch(pressure, generators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * samples.nbytes
+
+    def test_batch_rows_match_scalar_record_analog(self):
+        microphone = amazon_echo_microphone()
+        samples = np.random.default_rng(1).normal(0.0, 0.5, (3, 4800))
+        pressure = SignalBatch(samples, RATE, Unit.PASCAL)
+        batch = microphone.record_analog_batch(
+            pressure, [np.random.default_rng(k) for k in range(3)]
+        )
+        for k in range(3):
+            scalar = microphone.record_analog(
+                pressure.row(k), np.random.default_rng(k)
+            )
+            assert np.array_equal(batch.samples[k], scalar.samples)

@@ -11,6 +11,8 @@ The load-bearing guarantees:
 """
 
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.sim.engine import (
     process_cache,
     stable_key,
 )
+from repro.sim.pipeline import CHUNK_TRIALS
 from repro.sim.scenario import Scenario, VictimDevice
 
 
@@ -289,3 +292,37 @@ class TestRecordingStripping:
         assert [o.distance for o in stripped] == [
             o.distance for o in kept
         ]
+
+    def test_stripping_happens_per_chunk(
+        self, scenario, phone_device, emission_spec
+    ):
+        """Recordings are dropped as each trial chunk is recognised,
+        so four chunks peak within one chunk's recording stack of
+        one chunk, with outcomes unchanged apart from ``recording``."""
+        engine = ExperimentEngine(jobs=1)
+
+        def run(n_trials, keep):
+            group = TrialGroup(
+                scenario, phone_device, emission_spec, n_trials
+            )
+            return engine.run_trial_groups(
+                [group], np.random.default_rng(4), keep_recordings=keep
+            )[0]
+
+        def traced_peak(n_trials):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                outcomes = run(n_trials, keep=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - before, outcomes
+
+        kept = run(4 * CHUNK_TRIALS, keep=True)  # also warms caches
+        one_chunk, _ = traced_peak(CHUNK_TRIALS)
+        four_chunks, stripped = traced_peak(4 * CHUNK_TRIALS)
+        chunk_stack = CHUNK_TRIALS * kept[0].recording.samples.nbytes
+        assert four_chunks - one_chunk <= chunk_stack
+        assert all(o.recording is None for o in stripped)
+        assert stripped == [replace(o, recording=None) for o in kept]
