@@ -20,9 +20,10 @@ agree bitwise before any timing is reported:
   diagnostic row with a regression tripwire, not a vectorization
   gate.
 
-The results — plus a per-stage wall-time breakdown from the
-pipeline's :class:`~repro.sim.pipeline.StageProfile` hook — are
-written to ``BENCH_pipeline.json`` so CI records the perf trajectory
+The results — plus a per-stage wall-time breakdown, reduced by
+:func:`repro.obs.report.stage_rows` from the stage spans of one extra
+traced pass (the timed passes run untraced) — are written to
+``BENCH_pipeline.json`` so CI records the perf trajectory
 run over run. Memory rides along: ``peak_rss_mb`` (``ru_maxrss`` of
 the whole run) and ``context_peak_mb``, the traced allocation peak of
 one T2-cell :meth:`~repro.sim.pipeline.TrialPipeline.context` (the
@@ -53,7 +54,9 @@ from repro.defense.dataset import DatasetConfig, build_dataset
 from repro.experiments._emissions import array_split
 from repro.sim.bench import peak_rss_mb, write_bench_record
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
-from repro.sim.pipeline import StageProfile, build_pipeline
+from repro.obs.report import render_stage_rows, stage_rows
+from repro.obs.trace import Tracer, activate
+from repro.sim.pipeline import build_pipeline
 from repro.sim.results import ResultTable
 from repro.sim.spec import get_scenario
 from repro.sim.scenario import VictimDevice
@@ -145,23 +148,24 @@ def bench_dataset_build(
     }
 
 
-def profile_stages(quick: bool, seed: int) -> StageProfile:
-    """Per-stage wall-time breakdown of the T2 cell, both modes.
+def profile_stages(quick: bool, seed: int) -> list[dict]:
+    """Per-stage wall-time rows of the T2 cell, both modes.
 
-    A separate instrumented pass (the timed runs above stay
-    uninstrumented) through the pipeline's profiling hook, so the
-    JSON artifact records *where* each mode spends its time — the
+    A separate traced pass (the timed runs above stay untraced): the
+    executor's stage spans reduce to one row per (mode, stage), so
+    the JSON artifact records *where* each mode spends its time — the
     first thing to look at when a gate trips.
     """
     n_trials = 10 if quick else 50
     group = _trial_group("free_field", seed, n_trials)
     pipeline = build_pipeline(group.scenario, group.device)
     ctx = pipeline.context(group.resolve_sources())
-    profile = StageProfile()
-    for mode in (False, True):
-        rngs = np.random.default_rng(seed).spawn(n_trials)
-        pipeline.run_trials(ctx, rngs, batch=mode, profile=profile)
-    return profile
+    tracer = Tracer()
+    with activate(tracer):
+        for mode in (False, True):
+            rngs = np.random.default_rng(seed).spawn(n_trials)
+            pipeline.run_trials(ctx, rngs, batch=mode)
+    return stage_rows(tracer.spans)
 
 
 def context_peak_mb(seed: int) -> float:
@@ -219,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
         bench_dataset_build(args.quick, args.seed, dataset_gate),
     ]
-    profile = profile_stages(args.quick, args.seed)
+    stages = profile_stages(args.quick, args.seed)
     context_peak = context_peak_mb(args.seed)
     record = write_bench_record(
         args.output,
@@ -228,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick,
             "seed": args.seed,
             "results": results,
-            "stages": profile.as_rows(),
+            "stages": stages,
             "context_peak_mb": context_peak,
             "peak_rss_mb": peak_rss_mb(),
         },
@@ -249,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         f"peak RSS: {record['peak_rss_mb']:.1f} MiB; T2 transmit "
         f"peak: {record['context_peak_mb']:.1f} MiB"
     )
-    print(profile.render(), file=sys.stderr)
+    print(render_stage_rows(stages), file=sys.stderr)
     print(f"wrote {args.output}", file=sys.stderr)
     if not all(result["identical"] for result in results):
         print(

@@ -15,10 +15,12 @@ run-over-run trajectory:
   interference only adds time), with the digest checked across every
   pass. The headline figure is ``sustained_streams``: stream-seconds
   of audio processed per wall second, i.e. how many live 1x device
-  streams this machine holds. Gate: >= 250 streams. The run also
-  feeds a :class:`~repro.sim.pipeline.StageProfile`, so the record's
-  top-level ``stages`` rows attribute wall time to ingest / segment /
-  welch / recognize / detect (printed by CI's perf-gates step
+  streams this machine holds. Gate: >= 250 streams. One extra traced
+  pass (the timed passes run untraced) yields the record's top-level
+  ``stages`` rows (:func:`repro.obs.report.stage_rows`): the kernel's
+  ``mode="stream"`` rows attribute wall time to assemble / ingest /
+  segment / close / welch / recognize / detect, beside the ``batch``
+  rows of the utterance synthesis (printed by CI's perf-gates step
   alongside the trial pipeline's breakdown).
 * **Sharded fleet** — the same duty cycle scaled to every core
   through :class:`~repro.stream.shard.ShardedFleetSimulator`: one
@@ -63,7 +65,8 @@ from repro.experiments.s1_streaming import (
     train_detector,
 )
 from repro.sim.bench import peak_rss_mb, write_bench_record
-from repro.sim.pipeline import StageProfile
+from repro.obs.report import render_stage_rows, stage_rows
+from repro.obs.trace import Tracer, activate
 from repro.sim.results import ResultTable
 from repro.stream.fleet import FleetConfig, FleetSimulator
 from repro.stream.shard import ShardedFleetSimulator
@@ -139,25 +142,29 @@ def _fleet_config(
 
 def bench_fleet(
     quick: bool, seed: int, scenario: str
-) -> tuple[dict, StageProfile]:
-    """Sustained concurrent streams on a mostly-idle fleet.
+) -> tuple[dict, list[dict]]:
+    """Sustained concurrent streams on a mostly-idle fleet, plus the
+    kernel's per-stage rows.
 
-    ``REPEATS`` passes through the guard kernel; the fastest wall
-    clock is recorded (min-of-N) and every pass must produce the same
-    digest.
+    ``REPEATS`` untraced passes through the guard kernel; the fastest
+    wall clock is recorded (min-of-N) and every pass must produce the
+    same digest. One more pass runs traced for the stage rows.
     """
     detector = train_detector(scenario, seed, n_trials=2)
     config = _fleet_config(quick, seed, scenario)
     report = None
-    profile = StageProfile()
     for _ in range(REPEATS):
         gc.collect()
-        pass_profile = StageProfile()
-        run = FleetSimulator(detector, config).run(profile=pass_profile)
+        run = FleetSimulator(detector, config).run()
         if report is not None and run.digest() != report.digest():
             raise AssertionError("kernel fleet digest drifted between passes")
         if report is None or run.wall_seconds < report.wall_seconds:
-            report, profile = run, pass_profile
+            report = run
+    tracer = Tracer()
+    with activate(tracer):
+        traced = FleetSimulator(detector, config).run()
+    if traced.digest() != report.digest():
+        raise AssertionError("tracing changed the kernel fleet digest")
     stats = report.latency_stats()
     sustained = int(report.realtime_factor)
     return {
@@ -191,7 +198,7 @@ def bench_fleet(
         "p99_latency_ms": (
             1000.0 * stats.quantile(0.99) if stats.count else 0.0
         ),
-    }, profile
+    }, stage_rows(tracer.spans)
 
 
 def bench_sharded_fleet(
@@ -389,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     parity = bench_parity(args.seed, args.scenario)
-    fleet, profile = bench_fleet(args.quick, args.seed, args.scenario)
+    fleet, stages = bench_fleet(args.quick, args.seed, args.scenario)
     sharded = bench_sharded_fleet(
         args.quick,
         args.seed,
@@ -409,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": args.scenario,
         "gate_sustained_streams": SUSTAINED_STREAMS_GATE,
         "gate_sustained_per_core": SUSTAINED_PER_CORE_GATE,
-        "stages": profile.as_rows(),
+        "stages": stages,
         "results": results,
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -452,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(table.render())
     print(f"peak RSS: {record['peak_rss_mb']:.1f} MiB")
-    print(profile.render(), file=sys.stderr)
+    print(render_stage_rows(stages), file=sys.stderr)
     print(f"wrote {args.output}", file=sys.stderr)
     if not parity["identical"]:
         print(

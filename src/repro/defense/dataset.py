@@ -227,9 +227,7 @@ def _cell_scenario(
 
 
 def build_dataset(
-    config: DatasetConfig,
-    batch: bool = True,
-    precision: str | None = None,
+    config: DatasetConfig, batch: bool = True
 ) -> LabeledDataset:
     """Synthesise the dataset a :class:`DatasetConfig` describes.
 
@@ -244,11 +242,6 @@ def build_dataset(
     recording at a time, so the flag is an honest fully-scalar versus
     fully-batched A/B; features and recordings are bitwise identical
     either way, which the experiment-level differential suites check.
-    ``precision`` selects the pipeline's numeric mode
-    (:func:`repro.sim.pipeline.resolve_precision`): ``"float64"`` is
-    the bitwise-frozen golden default, ``"float32"`` the opt-in
-    fast-math path whose features agree within tolerance rather than
-    bitwise.
     """
     spec = config.resolve_scenario()
     try:
@@ -292,7 +285,6 @@ def build_dataset(
                     capture=levels,
                 ),
                 invariants=invariants,
-                precision=precision,
             )
             genuine_recordings = genuine_pipeline.run_trials(
                 genuine_pipeline.context(genuine_sources),
@@ -318,7 +310,6 @@ def build_dataset(
                 microphone,
                 recognize=False,
                 invariants=invariants,
-                precision=precision,
             )
             attack_recordings = attack_pipeline.run_trials(
                 attack_pipeline.context(attack_sources),

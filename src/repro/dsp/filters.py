@@ -118,13 +118,8 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     ``*_array`` variants both land here, so a stacked
     ``(n_signals, n_samples)`` batch is filtered row-by-row with
     *bitwise* the same arithmetic as one waveform at a time.
-
-    Float32 input stays float32 (the opt-in fast-math path); anything
-    else is promoted to float64, the golden mode.
     """
-    x = np.asarray(x)
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise FilterDesignError(
             f"expected a 1-D waveform or 2-D (n_signals, n_samples) "

@@ -64,11 +64,9 @@ def resample_array(
     The shared implementation under :func:`resample` and the batched
     trial kernel: a stacked ``(n_signals, n_samples)`` batch resamples
     row-by-row with bitwise the same arithmetic as one waveform at a
-    time. Float32 input stays float32 (the opt-in fast-math path);
-    anything else is promoted to float64, the golden mode.
+    time.
     """
-    dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise SampleRateError(
             f"expected a 1-D waveform or 2-D (n_signals, n_samples) "
@@ -78,7 +76,7 @@ def resample_array(
         return x.copy()
     up, down = rational_ratio(target_rate, source_rate)
     return np.asarray(
-        sp_signal.resample_poly(x, up, down, axis=-1), dtype=dtype
+        sp_signal.resample_poly(x, up, down, axis=-1), dtype=np.float64
     )
 
 

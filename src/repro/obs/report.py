@@ -17,6 +17,12 @@ span tree (:mod:`repro.obs.trace`):
   utterance spans carry a ``stream`` attribute (capped to the
   busiest streams to keep the report readable).
 
+:func:`stage_rows` reduces the same spans to the per-stage table the
+benchmark records carry: any span with ``mode`` and ``trials``
+attributes is one stage call, whether the offline executor
+(``"scalar"``/``"batch"``) or the stream kernel (``"stream"``)
+recorded it.
+
 ``summarize()`` returns the same content machine-readably; the CLI
 (``python -m repro.obs report``) can write it with ``--json``.
 """
@@ -29,7 +35,12 @@ from typing import Any, Sequence
 from repro.obs.metrics import SUMMARY_QUANTILES, LatencyRecorder
 from repro.obs.trace import Span
 
-__all__ = ["render_report", "summarize"]
+__all__ = [
+    "render_report",
+    "render_stage_rows",
+    "stage_rows",
+    "summarize",
+]
 
 #: Cap on per-stream breakdown rows (busiest first).
 MAX_STREAM_ROWS = 16
@@ -191,6 +202,54 @@ def render_streams(spans: Sequence[Span]) -> str | None:
         )
     if len(rows) > len(shown):
         lines.append(f"  ... {len(rows) - len(shown)} more streams")
+    return "\n".join(lines)
+
+
+def stage_rows(spans: Sequence[Span]) -> list[dict[str, Any]]:
+    """Per-(mode, stage) wall time from stage spans, first-seen order.
+
+    Each span carrying ``mode`` and ``trials`` attributes is one
+    stage call covering ``trials`` rows: trials of a scalar walk or a
+    batch chunk, stream rows of a kernel cycle, utterances of a
+    decide phase. Rows sum those calls; ``seconds_per_trial`` is
+    ``seconds / trials`` (0 with no trials).
+    """
+    totals: dict[tuple[str, str], list] = {}
+    for span in spans:
+        attrs = span.attrs
+        if "mode" in attrs and "trials" in attrs:
+            row = totals.setdefault(
+                (str(attrs["mode"]), span.name), [0.0, 0, 0]
+            )
+            row[0] += span.duration_s
+            row[1] += 1
+            row[2] += int(attrs["trials"])
+    return [
+        {
+            "mode": mode,
+            "stage": stage,
+            "seconds": seconds,
+            "calls": calls,
+            "trials": trials,
+            "seconds_per_trial": seconds / trials if trials else 0.0,
+        }
+        for (mode, stage), (seconds, calls, trials) in totals.items()
+    ]
+
+
+def render_stage_rows(rows: Sequence[dict[str, Any]]) -> str:
+    """A fixed-width table of :func:`stage_rows` output."""
+    lines = [
+        f"{'mode':<8} {'stage':<14} {'seconds':>9} "
+        f"{'calls':>6} {'trials':>7} {'ms/trial':>9}"
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['mode']:<8} {row['stage']:<14} "
+            f"{row['seconds']:>9.4f} {row['calls']:>6d} "
+            f"{row['trials']:>7d} "
+            f"{1e3 * row['seconds_per_trial']:>9.3f}"
+        )
     return "\n".join(lines)
 
 

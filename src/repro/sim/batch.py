@@ -77,7 +77,6 @@ def run_group_batch(
     group,
     rngs: Sequence[np.random.Generator],
     keep_recordings: bool = True,
-    precision: str | None = None,
 ) -> list[TrialOutcome]:
     """Execute one trial group's trials as stacked batches.
 
@@ -94,10 +93,6 @@ def run_group_batch(
     keep_recordings:
         When ``False`` each outcome's ``recording`` is ``None``
         (matching the engine's IPC-saving convention).
-    precision:
-        ``"float64"`` (the golden default), ``"float32"`` (the opt-in
-        fast path) or ``None`` to honour ``REPRO_FAST_MATH`` — passed
-        through to :func:`~repro.sim.pipeline.build_pipeline`.
 
     Returns
     -------
@@ -108,10 +103,7 @@ def run_group_batch(
     if not rngs:
         raise ExperimentError("run_group_batch needs >= 1 trial generator")
     pipeline = build_pipeline(
-        group.scenario,
-        group.device,
-        precision=precision,
-        keep_recordings=keep_recordings,
+        group.scenario, group.device, keep_recordings=keep_recordings
     )
     support = pipeline.batch_support()
     if not support:

@@ -46,11 +46,7 @@ from repro.errors import ExperimentError
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import Tracer, activate as activate_tracer, current_tracer
 from repro.sim.cache import CacheStats, EmissionCache, stable_key
-from repro.sim.pipeline import (
-    TrialOutcome,
-    build_pipeline,
-    resolve_precision,
-)
+from repro.sim.pipeline import TrialOutcome, build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.speech.commands import synthesize_command
 
@@ -152,9 +148,7 @@ class TrialGroup:
 
 
 def _run_trial_batch(
-    task: tuple[
-        TrialGroup, tuple[np.random.Generator, ...], bool, bool, str
-    ],
+    task: tuple[TrialGroup, tuple[np.random.Generator, ...], bool, bool],
 ) -> list[TrialOutcome] | tuple[list[TrialOutcome], list]:
     """Worker: execute one chunk of a group's trials.
 
@@ -178,7 +172,7 @@ def _run_trial_batch(
     holds the recordings — at 50 trials per cell they, not the
     results, are the dominant IPC cost.
 
-    An optional sixth tuple element requests tracing. Pool workers
+    An optional fifth tuple element requests tracing. Pool workers
     cannot see the coordinator's ambient tracer, so the flag travels
     with the task; a traced worker installs a fresh local
     :class:`~repro.obs.trace.Tracer`, wraps the run in a
@@ -187,14 +181,13 @@ def _run_trial_batch(
     Tracing never touches the trial computation itself, so outcomes
     stay bitwise identical either way.
     """
-    group, rngs, keep_recordings, use_batch, precision = task[:5]
-    trace = bool(task[5]) if len(task) > 5 else False
+    group, rngs, keep_recordings, use_batch = task[:4]
+    trace = bool(task[4]) if len(task) > 4 else False
 
     def execute() -> list[TrialOutcome]:
         pipeline = build_pipeline(
             group.scenario,
             group.device,
-            precision=precision,
             keep_recordings=keep_recordings,
         )
         ctx = pipeline.context(group.resolve_sources())
@@ -314,13 +307,6 @@ class ExperimentEngine:
         identical (the kernel falls back to the scalar path for groups
         it cannot prove equivalent), so this flag changes wall clock,
         never numbers. The CLI exposes it as ``--no-batch``.
-    precision:
-        ``"float64"`` (the default golden mode) or ``"float32"`` (the
-        opt-in fast-math path); ``None`` defers to the
-        ``REPRO_FAST_MATH`` environment variable. Resolved once here —
-        workers receive the resolved string, so a pool whose processes
-        see different environments still computes one way. See
-        :func:`repro.sim.pipeline.resolve_precision`.
 
     The engine owns at most one :class:`ProcessPoolExecutor`, created
     lazily on first parallel use and reused across calls (and across
@@ -329,10 +315,7 @@ class ExperimentEngine:
     """
 
     def __init__(
-        self,
-        jobs: int | None = None,
-        batch: bool = True,
-        precision: str | None = None,
+        self, jobs: int | None = None, batch: bool = True
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -348,7 +331,6 @@ class ExperimentEngine:
             )
         self.jobs = jobs
         self.batch = batch
-        self.precision = resolve_precision(precision)
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -448,7 +430,6 @@ class ExperimentEngine:
                     tuple(batch),
                     keep_recordings,
                     use_batch,
-                    self.precision,
                     trace,
                 )
                 for batch in batches

@@ -44,9 +44,8 @@ registered environment.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -103,107 +102,6 @@ class BatchSupport:
         return cls(supported=False, reason=reason)
 
 
-@dataclass
-class StageTiming:
-    """Accumulated wall time of one (mode, stage) pair."""
-
-    seconds: float = 0.0
-    calls: int = 0
-    trials: int = 0
-
-    @property
-    def seconds_per_trial(self) -> float:
-        """Mean wall seconds each trial spent in this stage."""
-        if self.trials == 0:
-            return 0.0
-        return self.seconds / self.trials
-
-
-class StageProfile:
-    """Per-stage wall-time attribution for a pipeline run.
-
-    Pass one to :meth:`TrialPipeline.run_trials` (or
-    :meth:`~TrialPipeline.run_scalar`) and every stage call — scalar
-    or batched — adds its wall time under ``(mode, stage_name)``. The
-    hook is deliberately lightweight: when no profile is attached the
-    executor takes no timestamps at all, so profiling never taxes
-    production runs. One profile may accumulate across many
-    ``run_trials`` calls (the benchmark harness feeds a whole workload
-    through one), and :meth:`render` prints the breakdown the
-    performance docs quote.
-    """
-
-    def __init__(self) -> None:
-        self.timings: dict[tuple[str, str], StageTiming] = {}
-
-    def add(
-        self, mode: str, stage: str, seconds: float, n_trials: int
-    ) -> None:
-        """Record one stage call of ``n_trials`` trials."""
-        timing = self.timings.setdefault((mode, stage), StageTiming())
-        timing.seconds += seconds
-        timing.calls += 1
-        timing.trials += n_trials
-
-    def total_seconds(self, mode: str | None = None) -> float:
-        """Wall seconds across all stages, optionally one mode's."""
-        return sum(
-            timing.seconds
-            for (timing_mode, _), timing in self.timings.items()
-            if mode is None or timing_mode == mode
-        )
-
-    def as_rows(self) -> list[dict]:
-        """JSON-friendly rows, in first-recorded order per mode."""
-        return [
-            {
-                "mode": mode,
-                "stage": stage,
-                "seconds": timing.seconds,
-                "calls": timing.calls,
-                "trials": timing.trials,
-                "seconds_per_trial": timing.seconds_per_trial,
-            }
-            for (mode, stage), timing in self.timings.items()
-        ]
-
-    @classmethod
-    def from_spans(cls, spans) -> "StageProfile":
-        """Rebuild a profile from trace spans (:mod:`repro.obs`).
-
-        Any span carrying ``mode`` and ``trials`` attributes is a
-        stage-timing record — the executors emit exactly one per
-        stage call — so a trace file alone reproduces the profiling
-        table without a separate profiling run.
-        """
-        profile = cls()
-        for span in spans:
-            attrs = span.attrs
-            if "mode" in attrs and "trials" in attrs:
-                profile.add(
-                    str(attrs["mode"]),
-                    span.name,
-                    span.duration_s,
-                    int(attrs["trials"]),
-                )
-        return profile
-
-    def render(self) -> str:
-        """A fixed-width table of the recorded breakdown."""
-        lines = [
-            f"{'mode':<8} {'stage':<14} {'seconds':>9} "
-            f"{'calls':>6} {'trials':>7} {'ms/trial':>9}"
-        ]
-        for row in self.as_rows():
-            lines.append(
-                f"{row['mode']:<8} {row['stage']:<14} "
-                f"{row['seconds']:>9.4f} {row['calls']:>6d} "
-                f"{row['trials']:>7d} "
-                f"{1e3 * row['seconds_per_trial']:>9.3f}"
-            )
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     """Result of one attack trial.
@@ -244,70 +142,6 @@ class TrialContext:
 
     clean_attack: Signal
     clean_interference: Signal | None = None
-
-
-#: Recognised ``precision=`` values, in golden-first order.
-_PRECISIONS = ("float64", "float32")
-
-
-def resolve_precision(precision: str | None) -> str:
-    """Normalise a ``precision=`` argument against the environment.
-
-    ``None`` defers to the ``REPRO_FAST_MATH`` environment variable
-    (truthy values select ``"float32"``); anything explicit must be
-    ``"float64"`` (the default golden mode — bitwise-frozen numerics)
-    or ``"float32"`` (the opt-in fast path — same stages, single
-    precision, tolerance-bounded rather than bitwise).
-    """
-    if precision is None:
-        flag = os.environ.get("REPRO_FAST_MATH", "").strip().lower()
-        precision = (
-            "float32" if flag in ("1", "true", "yes", "on") else "float64"
-        )
-    if precision not in _PRECISIONS:
-        raise ExperimentError(
-            f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
-    return precision
-
-
-def _cast_value(value: Any, dtype: type) -> Any:
-    """Cast a stage payload's samples to ``dtype``, type-preserving."""
-    if isinstance(value, (Signal, SignalBatch)):
-        if value.samples.dtype != dtype:
-            return value.replace(samples=value.samples.astype(dtype))
-        return value
-    if (
-        isinstance(value, np.ndarray)
-        and np.issubdtype(value.dtype, np.floating)
-        and value.dtype != dtype
-    ):
-        return value.astype(dtype)
-    return value
-
-
-def _restore_float64(value: Any) -> Any:
-    """Return fast-path outputs to float64 at the pipeline boundary.
-
-    Downstream consumers (feature extraction, serialisation, the
-    golden suites' fixtures) are written against float64 arrays; the
-    fast path keeps its reduced precision — the values are unchanged —
-    but hands them back in the default dtype so the mode never leaks
-    type surprises out of the pipeline.
-    """
-    if isinstance(value, TrialOutcome):
-        recording = value.recording
-        if (
-            recording is not None
-            and recording.samples.dtype != np.float64
-        ):
-            return dc_replace(
-                value, recording=_cast_value(recording, np.float64)
-            )
-        return value
-    if isinstance(value, list):
-        return [_restore_float64(entry) for entry in value]
-    return _cast_value(value, np.float64)
 
 
 #: Scalar kernel: (context, value-in, per-trial generator) -> value-out.
@@ -375,7 +209,6 @@ class TrialPipeline:
             Callable[[list[PlacedSource]], TrialContext] | None
         ) = None,
         invariants: EmissionCache | None = None,
-        precision: str | None = None,
     ) -> None:
         stages = tuple(stages)
         if not stages:
@@ -394,17 +227,6 @@ class TrialPipeline:
         #: exposed for cache-accounting tests. ``None`` for synthetic
         #: pipelines without a context builder.
         self.invariants = invariants
-        #: ``"float64"`` (golden mode, the default) or ``"float32"``
-        #: (fast math): see :func:`resolve_precision`. In float32 mode
-        #: the executor casts every stage's payload down before the
-        #: next stage, so the dtype-preserving DSP primitives run
-        #: single-precision end to end, and restores float64 at the
-        #: pipeline boundary. In float64 mode no cast of any kind
-        #: happens — the golden numerics are untouched.
-        self.precision = resolve_precision(precision)
-        self._fast_dtype = (
-            np.float32 if self.precision == "float32" else None
-        )
 
     # -- introspection ------------------------------------------------
 
@@ -439,40 +261,26 @@ class TrialPipeline:
     # -- execution ----------------------------------------------------
 
     def run_scalar(
-        self,
-        ctx: TrialContext,
-        rng: np.random.Generator,
-        profile: StageProfile | None = None,
+        self, ctx: TrialContext, rng: np.random.Generator
     ) -> Any:
         """One trial through every stage's scalar kernel, in order.
 
-        ``profile`` (when given) receives each stage's wall time under
-        mode ``"scalar"``.
+        With a :mod:`repro.obs` tracer active, each stage call is
+        recorded as a span tagged ``mode="scalar", trials=1``.
         """
         tracer = current_tracer()
-        observe = profile is not None or tracer is not None
         value: Any = None
         for stage in self.stages:
-            started = time.perf_counter() if observe else 0.0
+            started = time.perf_counter() if tracer is not None else 0.0
             value = stage.scalar(ctx, value, rng)
-            if self._fast_dtype is not None:
-                value = _cast_value(value, self._fast_dtype)
-            if observe:
-                ended = time.perf_counter()
-                if profile is not None:
-                    profile.add(
-                        "scalar", stage.name, ended - started, 1
-                    )
-                if tracer is not None:
-                    tracer.record(
-                        stage.name,
-                        started,
-                        ended,
-                        mode="scalar",
-                        trials=1,
-                    )
-        if self._fast_dtype is not None:
-            value = _restore_float64(value)
+            if tracer is not None:
+                tracer.record(
+                    stage.name,
+                    started,
+                    time.perf_counter(),
+                    mode="scalar",
+                    trials=1,
+                )
         return value
 
     def run_trials(
@@ -481,7 +289,6 @@ class TrialPipeline:
         rngs: Sequence[np.random.Generator],
         batch: bool = True,
         chunk_trials: int = CHUNK_TRIALS,
-        profile: StageProfile | None = None,
     ) -> list:
         """Every trial's final value, in generator order.
 
@@ -489,8 +296,7 @@ class TrialPipeline:
         generators stream through the batch kernels in bounded chunks;
         otherwise each runs the scalar walk. Outcomes are bitwise
         identical either way — the stage contract, checked by the
-        differential suites. ``profile`` (when given) accumulates each
-        stage's wall time under whichever mode actually executed.
+        differential suites.
         """
         rngs = list(rngs)
         if not rngs:
@@ -502,48 +308,30 @@ class TrialPipeline:
                 f"chunk_trials must be >= 1, got {chunk_trials}"
             )
         if not (batch and self.batch_support()):
-            return [
-                self.run_scalar(ctx, rng, profile=profile)
-                for rng in rngs
-            ]
+            return [self.run_scalar(ctx, rng) for rng in rngs]
         out: list = []
         for start in range(0, len(rngs), chunk_trials):
             chunk = rngs[start : start + chunk_trials]
-            out.extend(self._run_batch_chunk(ctx, chunk, profile))
+            out.extend(self._run_batch_chunk(ctx, chunk))
         return out
 
     def _run_batch_chunk(
-        self,
-        ctx: TrialContext,
-        rngs: list[np.random.Generator],
-        profile: StageProfile | None = None,
+        self, ctx: TrialContext, rngs: list[np.random.Generator]
     ) -> list:
         tracer = current_tracer()
-        observe = profile is not None or tracer is not None
         value: Any = None
         for stage in self.stages:
-            started = time.perf_counter() if observe else 0.0
+            started = time.perf_counter() if tracer is not None else 0.0
             value = stage.batch(ctx, value, rngs)
-            if self._fast_dtype is not None:
-                value = _cast_value(value, self._fast_dtype)
-            if observe:
-                ended = time.perf_counter()
-                if profile is not None:
-                    profile.add(
-                        "batch", stage.name, ended - started, len(rngs)
-                    )
-                if tracer is not None:
-                    tracer.record(
-                        stage.name,
-                        started,
-                        ended,
-                        mode="batch",
-                        trials=len(rngs),
-                    )
-        rows = _per_trial_values(value, len(rngs))
-        if self._fast_dtype is not None:
-            rows = _restore_float64(rows)
-        return rows
+            if tracer is not None:
+                tracer.record(
+                    stage.name,
+                    started,
+                    time.perf_counter(),
+                    mode="batch",
+                    trials=len(rngs),
+                )
+        return _per_trial_values(value, len(rngs))
 
 
 def _per_trial_values(value: Any, n_trials: int) -> list:
@@ -837,7 +625,6 @@ def build_pipeline(
     recognize: bool = True,
     gain_stage: Stage | None = None,
     invariants: EmissionCache | None = None,
-    precision: str | None = None,
     keep_recordings: bool = True,
 ) -> TrialPipeline:
     """Assemble the trial pipeline for a (scenario, device) pair.
@@ -872,14 +659,6 @@ def build_pipeline(
         the bed's full physical identity (sources, geometry, weather,
         rate), so sharing is always safe. ``None`` gives the pipeline
         a private bounded cache.
-    precision:
-        ``"float64"`` (the default golden mode — bitwise-frozen
-        numerics) or ``"float32"`` (the opt-in fast path: every stage
-        payload is cast down between stages so the dtype-preserving
-        DSP primitives run single-precision, and outputs return to
-        float64 at the boundary). ``None`` defers to the
-        ``REPRO_FAST_MATH`` environment variable; see
-        :func:`resolve_precision`.
     keep_recordings:
         Whether each :class:`TrialOutcome` carries its device-rate
         recording. ``False`` drops it inside the recognise stage, one
@@ -957,5 +736,4 @@ def build_pipeline(
         stages,
         context_builder=context,
         invariants=invariants,
-        precision=precision,
     )

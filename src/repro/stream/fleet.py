@@ -588,7 +588,6 @@ def drive_streams(
     attack_mask: np.ndarray,
     stream_seqs,
     emit,
-    profile=None,
 ) -> float:
     """Drive a partition of streams through kernel groups.
 
@@ -646,7 +645,6 @@ def drive_streams(
                     for pos in positions
                 ],
                 [stream_seqs[pos] for pos in positions],
-                profile=profile,
             )
         for run in runs:
             emit(run)
@@ -684,14 +682,12 @@ class FleetSimulator:
 
     # -- the run -------------------------------------------------------
 
-    def run(self, profile=None) -> FleetReport:
+    def run(self) -> FleetReport:
         """Synthesise, stream and decide the whole fleet.
 
-        ``profile`` (an optional
-        :class:`~repro.sim.pipeline.StageProfile`) accumulates the
-        kernel's per-stage wall time — how the streaming
-        benchmark attributes ingestion vs segmentation vs Welch vs
-        decide cost.
+        With a :mod:`repro.obs` tracer active the kernel's stage spans
+        attribute ingestion vs segmentation vs Welch vs decide cost
+        (:func:`repro.obs.report.stage_rows`).
         """
         config = self.config
         with maybe_span("fleet", streams=config.n_streams):
@@ -728,7 +724,6 @@ class FleetSimulator:
                 attack_mask,
                 stream_seqs,
                 raw_runs.append,
-                profile=profile,
             )
             results = [
                 raw.commit()

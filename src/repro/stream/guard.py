@@ -97,11 +97,23 @@ class StreamingGuard:
 
     def push(self, chunk: np.ndarray) -> list[UtteranceOutcome]:
         """Feed a chunk; returns the utterances it closed (gated), or
-        an empty list (gateless — call :meth:`end_utterance`)."""
+        an empty list (gateless — call :meth:`end_utterance`).
+
+        Samples must already be in the stream's unit as floating
+        point (float32 is promoted exactly); integer PCM counts are
+        refused rather than read as that unit.
+        """
+        samples = np.asarray(chunk)
+        if not np.issubdtype(samples.dtype, np.floating):
+            raise StreamError(
+                f"push expects floating-point samples in unit "
+                f"{self.unit!r}, got dtype {samples.dtype}; scale "
+                "integer PCM to the stream's unit first"
+            )
+        samples = samples.astype(np.float64, copy=False)
         if not self.gated:
-            self._feed_gateless(chunk)
+            self._feed_gateless(samples)
             return []
-        samples = np.asarray(chunk, dtype=np.float64)
         if samples.ndim != 1:
             raise StreamError(
                 f"push expects a 1-D chunk, got shape {samples.shape}"

@@ -71,8 +71,7 @@ from repro.defense.guard import GuardedOutcome, guard_outcome
 from repro.defense.traces import analyses_from_psd
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import DefenseError, StreamError
-from repro.obs.trace import current_tracer
-from repro.sim.pipeline import StageProfile
+from repro.obs.trace import current_tracer, maybe_span
 from repro.speech.recognizer import KeywordRecognizer
 from repro.stream.chunker import ChunkedStreamBatch
 from repro.stream.features import WelchAccumulator, welch_segment_psd
@@ -88,10 +87,6 @@ from repro.stream.segmenter import (
     OnlineSegmenterBatch,
     SegmenterConfig,
 )
-
-#: Stage-profile mode tag for the streaming kernel's breakdown.
-PROFILE_MODE = "stream"
-
 
 @dataclass(frozen=True)
 class UtteranceOutcome:
@@ -137,46 +132,18 @@ class _Pending:
     unit: str
 
 
-class _StageClock:
-    """Accumulate per-stage wall time for one kernel invocation.
+def _tick(tracer) -> float:
+    """A stage's start time, or ``0.0`` with no tracer active."""
+    return time.perf_counter() if tracer is not None else 0.0
 
-    With a tracer attached every ``start``/``stop`` window is also
-    recorded as one span under ``parent_id`` — the per-cycle
-    resolution the profile's aggregate totals throw away. Disabled
-    (no profile, no tracer), both methods reduce to a predicate
-    check.
-    """
 
-    def __init__(
-        self,
-        enabled: bool,
-        tracer=None,
-        parent_id: int | None = None,
-    ) -> None:
-        self.enabled = enabled or tracer is not None
-        self.tracer = tracer
-        self.parent_id = parent_id
-        self.seconds: dict[str, float] = {}
-        self._started = 0.0
-
-    def start(self) -> None:
-        if self.enabled:
-            self._started = time.perf_counter()
-
-    def stop(self, stage: str) -> None:
-        if self.enabled:
-            self.record(stage, self._started, time.perf_counter())
-
-    def record(self, stage: str, started: float, ended: float) -> None:
-        """Account one window timed by the caller."""
-        if self.enabled:
-            self.seconds[stage] = (
-                self.seconds.get(stage, 0.0) + ended - started
-            )
-            if self.tracer is not None:
-                self.tracer.record(
-                    stage, started, ended, parent_id=self.parent_id
-                )
+def _stage(tracer, name: str, started: float, trials: int) -> None:
+    """Record one kernel stage window as a ``mode="stream"`` stage
+    span (:func:`repro.obs.report.stage_rows`), if tracing."""
+    if tracer is not None:
+        tracer.record(
+            name, started, time.perf_counter(), mode="stream", trials=trials
+        )
 
 
 def check_guard_inputs(
@@ -204,7 +171,8 @@ class StreamGroup:
     stream end. ``heads`` is each row's real sample count so far: the
     frames beyond it are the zero padding of a finished row and are
     masked out of the segmenter, and closing utterances are capped at
-    it. ``clock`` (optional) times the stages.
+    it. With a tracer active each stage window is a stage span
+    tagged ``trials=n_rows``.
     """
 
     def __init__(
@@ -213,12 +181,11 @@ class StreamGroup:
         rate: float,
         segmenter_config: SegmenterConfig | None,
         units: list[str],
-        clock: _StageClock | None = None,
     ) -> None:
         seg_cfg = segmenter_config or SegmenterConfig()
+        self.n_rows = n_rows
         self.rate = float(rate)
         self.units = list(units)
-        self.clock = clock or _StageClock(False)
         self.ring = ChunkedStreamBatch(
             n_rows, rate, seg_cfg.frame_length_s, seg_cfg.hop_length_s
         )
@@ -227,17 +194,18 @@ class StreamGroup:
 
     def push(self, block: np.ndarray, heads) -> list[_Pending]:
         """One cycle over ``block``; the utterances it closed."""
-        clock, ring, segmenter = self.clock, self.ring, self.segmenter
+        ring, segmenter, n_rows = self.ring, self.segmenter, self.n_rows
         heads = np.asarray(heads, dtype=np.int64)
+        tracer = current_tracer()
 
         # -- ingest: one lockstep push, one matrix frame-RMS --------
-        clock.start()
+        started = _tick(tracer)
         ring.push_block(block)
         first, energies = ring.pending_frame_energies()
-        clock.stop("ingest")
+        _stage(tracer, "ingest", started, n_rows)
 
         # -- segment: vectorised state machine over the new frames --
-        clock.start()
+        started = _tick(tracer)
         n_new = energies.shape[1]
         if n_new:
             # Per-row frame_count(heads): frames wholly inside the
@@ -248,10 +216,10 @@ class StreamGroup:
             events = segmenter.process_block(first, energies, valid)
         else:
             events = []
-        clock.stop("segment")
+        _stage(tracer, "segment", started, n_rows)
 
         # -- boundary events: the per-stream scalar fallback ---------
-        clock.start()
+        started = _tick(tracer)
         closed: list[_Pending] = []
         for event in events:
             if isinstance(event, BatchOpened):
@@ -259,10 +227,10 @@ class StreamGroup:
                     self._welch[int(row)] = WelchAccumulator(self.rate)
             else:
                 closed.extend(self._close(event, heads))
-        clock.stop("close")
+        _stage(tracer, "close", started, n_rows)
 
         # -- welch: every due segment of the cycle in one FFT --------
-        clock.start()
+        started = _tick(tracer)
         open_mask = segmenter.in_utterance
         if open_mask.any():
             bounds = segmenter.commit_bounds(heads)
@@ -289,7 +257,7 @@ class StreamGroup:
                 )
                 for welch, psd_row in zip(owners, psd_rows):
                     welch.fold(psd_row)
-        clock.stop("welch")
+        _stage(tracer, "welch", started, n_rows)
 
         # -- release: retain open starts, the frame grid, lookback ---
         next_frame_start = ring.frames_emitted * ring.hop
@@ -304,11 +272,12 @@ class StreamGroup:
 
     def flush(self, heads) -> list[_Pending]:
         """End of stream: close every still-open row at its head."""
-        self.clock.start()
+        tracer = current_tracer()
+        started = _tick(tracer)
         heads = np.asarray(heads, dtype=np.int64)
         event = self.segmenter.flush_open_rows(heads)
         closed = [] if event is None else self._close(event, heads)
-        self.clock.stop("close")
+        _stage(tracer, "close", started, self.n_rows)
         return closed
 
     def _close(
@@ -344,7 +313,6 @@ def decide_utterances(
     rate: float,
     recognizer: KeywordRecognizer,
     detector: InaudibleVoiceDetector,
-    clock: _StageClock | None = None,
 ) -> list[UtteranceOutcome]:
     """Verdicts for closed utterances, in order.
 
@@ -352,19 +320,21 @@ def decide_utterances(
     batched by utterance length for the *accepted* ones: the guard
     consults the detector only when recognition accepts
     (:func:`~repro.defense.guard.guard_outcome`'s laziness), and the
-    PSD of a rejected utterance could even raise.
+    PSD of a rejected utterance could even raise. With a tracer
+    active both phases are stage spans tagged ``trials`` = the
+    utterances decided.
     """
-    clock = clock or _StageClock(False)
+    tracer = current_tracer()
 
     # -- recognize: all closed utterances through the DTW slab -------
-    clock.start()
+    started = _tick(tracer)
     recognitions = recognizer.recognize_many(
         [Signal(p.samples, rate, p.unit) for p in closed]
     )
-    clock.stop("recognize")
+    _stage(tracer, "recognize", started, len(closed))
 
     # -- detect: batched trace analyses for accepted utterances ------
-    clock.start()
+    started = _tick(tracer)
     accepted = [
         i for i, result in enumerate(recognitions) if result.accepted
     ]
@@ -391,7 +361,7 @@ def decide_utterances(
                 analysis, subset=detector.feature_subset
             )
             detections[i] = detector.classify_features(vector)
-    clock.stop("detect")
+    _stage(tracer, "detect", started, len(closed))
 
     return [
         UtteranceOutcome(
@@ -418,16 +388,16 @@ def drive_stream_group(
     recordings_by_stream: list[list[Signal]],
     attack_by_stream: list[np.ndarray],
     seed_seqs: list[np.random.SeedSequence],
-    profile: StageProfile | None = None,
 ) -> tuple[list[RawStreamRun], float]:
     """Drive a group of streams in lockstep through one
     :class:`StreamGroup`.
 
     ``indices`` are the global stream indices of the group, and entry
     ``b`` of the per-stream lists is that stream's utterance
-    recordings, slot attack flags and seed sequence. ``profile``
-    (optional) accumulates the kernel's per-stage wall time under
-    mode ``"stream"``.
+    recordings, slot attack flags and seed sequence. With a tracer
+    active the group is a ``stream-group`` span whose children are
+    its ``mode="stream"`` stage spans and one zero-width
+    ``utterance`` marker per decision.
 
     Each stream's timeline is read one chunk per cycle from its
     :class:`~repro.stream.fleet.TimelineSource`, never materialised.
@@ -457,90 +427,73 @@ def drive_stream_group(
         )
     check_guard_inputs(recognizer, rate)
     tracer = current_tracer()
-    if tracer is not None:
-        # The group span's id is needed *before* its children are
-        # recorded; allocate it now, record the span itself at the
-        # end with the id and parent pinned here.
-        group_id: int | None = tracer.new_id()
-        group_parent = tracer.current_parent()
-        group_started = time.perf_counter()
-    else:
-        group_id = None
-    clock = _StageClock(profile is not None, tracer, group_id)
-
-    assemble_started = time.perf_counter()
-    sources = [
-        TimelineSource(config, rate, recordings, np.random.default_rng(seq))
-        for recordings, seq in zip(recordings_by_stream, seed_seqs)
-    ]
-    units = [recordings[0].unit for recordings in recordings_by_stream]
-    assemble_ended = time.perf_counter()
-    assemble_seconds = assemble_ended - assemble_started
-    clock.record("assemble", assemble_started, assemble_ended)
-    clock.start()
-    lens = np.array([source.length for source in sources], dtype=np.int64)
-    max_len = int(lens.max())
-    chunk = max(1, int(round(config.chunk_s * rate)))
-    group = StreamGroup(n_group, rate, segmenter_config, units, clock)
-    clock.stop("assemble")
-
-    closed: list[_Pending] = []
-    block = np.empty((n_group, chunk), dtype=np.float64)
-    head = 0
-    while head < max_len:
-        nxt = min(head + chunk, max_len)
-
-        # -- assemble: each row's next chunk from its source --------
-        # Exhausted rows read as zero padding. Producing the audio is
-        # workload generation, so its time joins assemble_seconds.
-        fill_started = time.perf_counter()
-        cycle = block[:, : nxt - head]
-        for source, row in zip(sources, cycle):
-            source.read_into(row)
-        fill_ended = time.perf_counter()
-        assemble_seconds += fill_ended - fill_started
-        clock.record("assemble", fill_started, fill_ended)
-
-        head = nxt
-        closed.extend(group.push(cycle, np.minimum(lens, head)))
-    closed.extend(group.flush(lens))
-
-    # Row-major, each row's utterances in stream order (stable sort).
-    closed.sort(key=lambda p: p.row)
-    decided = decide_utterances(closed, rate, recognizer, detector, clock)
-    outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
-    for p, outcome in zip(closed, decided):
-        outcomes[p.row].append(outcome)
-
-    if profile is not None:
-        for stage, seconds in clock.seconds.items():
-            profile.add(PROFILE_MODE, stage, seconds, n_group)
-
-    if tracer is not None:
-        group_ended = time.perf_counter()
-        # Utterance spans are decision *markers*: zero wall width at
-        # the decide instant, with the stream-time latency (and the
-        # stream that produced them) in the attributes — that is what
-        # the reporter's percentile section reads.
-        for p, outcome in zip(closed, decided):
-            tracer.record(
-                "utterance",
-                group_ended,
-                group_ended,
-                parent_id=group_id,
-                stream=int(indices[p.row]),
-                latency_s=outcome.latency_s(rate),
-                accepted=bool(outcome.outcome.recognition.accepted),
-                forced=p.forced,
+    with maybe_span("stream-group", streams=n_group):
+        assemble_started = time.perf_counter()
+        sources = [
+            TimelineSource(
+                config, rate, recordings, np.random.default_rng(seq)
             )
-        tracer.record(
-            "stream-group",
-            group_started,
-            group_ended,
-            parent_id=group_parent,
-            span_id=group_id,
-            streams=n_group,
+            for recordings, seq in zip(recordings_by_stream, seed_seqs)
+        ]
+        units = [recordings[0].unit for recordings in recordings_by_stream]
+        assemble_seconds = time.perf_counter() - assemble_started
+        _stage(tracer, "assemble", assemble_started, n_group)
+        started = _tick(tracer)
+        lens = np.array(
+            [source.length for source in sources], dtype=np.int64
         )
+        max_len = int(lens.max())
+        chunk = max(1, int(round(config.chunk_s * rate)))
+        group = StreamGroup(n_group, rate, segmenter_config, units)
+        _stage(tracer, "assemble", started, n_group)
+
+        closed: list[_Pending] = []
+        block = np.empty((n_group, chunk), dtype=np.float64)
+        head = 0
+        while head < max_len:
+            nxt = min(head + chunk, max_len)
+
+            # -- assemble: each row's next chunk from its source ----
+            # Exhausted rows read as zero padding. Producing the audio
+            # is workload generation, so its time joins
+            # assemble_seconds.
+            fill_started = time.perf_counter()
+            cycle = block[:, : nxt - head]
+            for source, row in zip(sources, cycle):
+                source.read_into(row)
+            assemble_seconds += time.perf_counter() - fill_started
+            _stage(tracer, "assemble", fill_started, n_group)
+
+            head = nxt
+            closed.extend(group.push(cycle, np.minimum(lens, head)))
+        closed.extend(group.flush(lens))
+
+        # Row-major, each row's utterances in stream order (stable
+        # sort).
+        closed.sort(key=lambda p: p.row)
+        decided = decide_utterances(closed, rate, recognizer, detector)
+        outcomes: list[list[UtteranceOutcome]] = [
+            [] for _ in range(n_group)
+        ]
+        for p, outcome in zip(closed, decided):
+            outcomes[p.row].append(outcome)
+
+        if tracer is not None:
+            # Utterance spans are decision *markers*: zero wall width
+            # at the decide instant, with the stream-time latency (and
+            # the stream that produced them) in the attributes — that
+            # is what the reporter's percentile section reads.
+            decided_at = time.perf_counter()
+            for p, outcome in zip(closed, decided):
+                tracer.record(
+                    "utterance",
+                    decided_at,
+                    decided_at,
+                    stream=int(indices[p.row]),
+                    latency_s=outcome.latency_s(rate),
+                    accepted=bool(outcome.outcome.recognition.accepted),
+                    forced=p.forced,
+                )
 
     return [
         RawStreamRun(

@@ -269,13 +269,15 @@ class TestSignalBatchAdopt:
         with pytest.raises(ValueError):
             batch.samples[0, 0] = 1.0
 
-    def test_preserves_float32(self):
+    def test_promotes_float32_exactly(self):
         from repro.dsp.signals import SignalBatch
 
-        arr = np.zeros((2, 8), dtype=np.float32)
-        batch = SignalBatch.adopt(arr, 8000.0)
-        assert batch.samples is arr
-        assert batch.samples.dtype == np.float32
+        narrow = np.random.default_rng(3).normal(size=(2, 8)).astype(
+            np.float32
+        )
+        batch = SignalBatch.adopt(narrow, 8000.0)
+        assert batch.samples.dtype == np.float64
+        assert np.array_equal(batch.samples, narrow.astype(np.float64))
 
     def test_falls_back_to_copy_for_views(self):
         from repro.dsp.signals import SignalBatch

@@ -15,6 +15,10 @@ Three groups of guarantees:
   random compositions of deterministic and draw-consuming stages) the
   batched executor reproduces the scalar walk bitwise, at every trial
   count and chunk size, because both fold the same stages.
+
+The executor's stage spans (``mode``/``trials`` attributes, reduced
+by :func:`repro.obs.report.stage_rows`) and the batched recogniser's
+agreement with the scalar walk are pinned at the end.
 """
 
 import numpy as np
@@ -23,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments._emissions import single_full
+from repro.experiments._emissions import ATTACKER_POSITION, single_full
 from repro.hardware.microphone import Microphone
+from repro.obs.report import render_stage_rows, stage_rows
+from repro.obs.trace import Tracer, activate
 from repro.sim.cache import EmissionCache
-from repro.sim.engine import EmissionSpec
+from repro.sim.engine import EmissionSpec, TrialGroup
 from repro.sim.pipeline import (
     BatchSupport,
     Stage,
@@ -36,7 +42,7 @@ from repro.sim.pipeline import (
     level_stage,
 )
 from repro.sim.runner import ScenarioRunner
-from repro.sim.scenario import VictimDevice
+from repro.sim.scenario import Scenario, VictimDevice
 from repro.sim.spec import get_scenario
 
 
@@ -434,3 +440,88 @@ class TestLevelStage:
         assert all(55.0 <= spl <= 68.0 for spl in captured_batch)
         for x, y in zip(outcomes["batch"], outcomes["scalar"]):
             assert np.array_equal(x.samples, y.samples)
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return Scenario(
+        command="ok_google",
+        attacker_position=ATTACKER_POSITION,
+        victim_position=ATTACKER_POSITION.translated(2.0, 0.0, 0.0),
+    )
+
+
+@pytest.fixture(scope="module")
+def group(scenario, phone_device):
+    return TrialGroup(
+        scenario,
+        phone_device,
+        EmissionSpec(single_full, ("ok_google", 5)),
+        4,
+    )
+
+
+def _traced_rows(pipeline, ctx, n_trials, modes):
+    """Stage rows of one traced ``run_trials`` per entry of ``modes``."""
+    tracer = Tracer()
+    with activate(tracer):
+        for batch in modes:
+            rngs = np.random.default_rng(7).spawn(n_trials)
+            pipeline.run_trials(ctx, rngs, batch=batch)
+    return stage_rows(tracer.spans)
+
+
+class TestStageRows:
+    def test_attributes_both_modes(self, scenario, phone_device, group):
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(group.resolve_sources())
+        rows = _traced_rows(pipeline, ctx, group.n_trials, (False, True))
+        modes = {row["mode"] for row in rows}
+        assert modes == {"scalar", "batch"}
+        for mode in modes:
+            stages = [row["stage"] for row in rows if row["mode"] == mode]
+            assert stages == list(pipeline.stage_names())
+
+    def test_trial_counts_and_rows(self, scenario, phone_device, group):
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(group.resolve_sources())
+        rows = _traced_rows(pipeline, ctx, group.n_trials, (True,))
+        for row in rows:
+            assert set(row) == {
+                "mode", "stage", "seconds", "calls", "trials",
+                "seconds_per_trial",
+            }
+            assert row["mode"] == "batch"
+            assert row["calls"] == 1
+            assert row["trials"] == group.n_trials
+            assert row["seconds"] >= 0.0
+            assert row["seconds_per_trial"] == pytest.approx(
+                row["seconds"] / row["trials"]
+            )
+        rendered = render_stage_rows(rows)
+        for row in rows:
+            assert row["stage"] in rendered
+
+    def test_rows_accumulate_across_runs(
+        self, scenario, phone_device, group
+    ):
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(group.resolve_sources())
+        rows = _traced_rows(pipeline, ctx, group.n_trials, (True, True))
+        for row in rows:
+            assert row["calls"] == 2
+            assert row["trials"] == 2 * group.n_trials
+
+
+class TestRecognizeBatch:
+    def test_bitwise_equal_to_scalar(self, scenario, phone_device, group):
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(group.resolve_sources())
+        rngs = np.random.default_rng(11).spawn(6)
+        scalar = [pipeline.run_scalar(ctx, rng) for rng in rngs]
+        recognizer = phone_device.recognizer
+        recordings = [outcome.recording for outcome in scalar]
+        batched = recognizer.recognize_batch(recordings)
+        for outcome, result in zip(scalar, batched):
+            assert result.command == outcome.recognized_command
+            assert result.distance == outcome.distance

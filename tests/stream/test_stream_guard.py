@@ -218,6 +218,69 @@ class TestGuardModes:
         assert utterance.outcome.executed_command == "ok_google"
 
 
+class TestUnitBoundary:
+    """``push`` takes floating samples in the stream's unit only."""
+
+    @staticmethod
+    def _guard(gated, stream_detector, stream_probes):
+        recordings, recognizer = stream_probes
+        return StreamingGuard(
+            recognizer,
+            stream_detector,
+            recordings[0].sample_rate,
+            unit=recordings[0].unit,
+            gated=gated,
+        )
+
+    @staticmethod
+    def _stream(guard, samples):
+        """Push ``samples`` in 50 ms chunks; the gateless verdict or
+        the gated utterances."""
+        chunk = int(0.05 * guard.sample_rate)
+        outcomes = []
+        for start in range(0, samples.shape[0], chunk):
+            outcomes.extend(guard.push(samples[start : start + chunk]))
+        if guard.gated:
+            return outcomes + guard.flush()
+        return [guard.end_utterance()]
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["gated", "gateless"])
+    def test_integer_pcm_chunk_rejected(
+        self, gated, stream_detector, stream_probes
+    ):
+        guard = self._guard(gated, stream_detector, stream_probes)
+        pcm = np.array([0, 1200, -3400, 32767], dtype=np.int16)
+        with pytest.raises(StreamError, match="floating-point.*unit"):
+            guard.push(pcm)
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["gated", "gateless"])
+    def test_float32_chunks_promoted_exactly(
+        self, gated, stream_detector, stream_probes
+    ):
+        recording = stream_probes[0][0]  # attack
+        rate = recording.sample_rate
+        background = np.random.default_rng(5).normal(
+            size=int(0.5 * rate)
+        ) * (0.1 * recording.rms())
+        narrow = np.concatenate(
+            [background, recording.samples, background]
+        ).astype(np.float32)
+        results = [
+            self._stream(
+                self._guard(gated, stream_detector, stream_probes),
+                samples,
+            )
+            for samples in (narrow, narrow.astype(np.float64))
+        ]
+        assert len(results[0]) == len(results[1]) >= 1
+        for narrow_out, wide_out in zip(*results):
+            if gated:
+                assert narrow_out.start_sample == wide_out.start_sample
+                assert narrow_out.end_sample == wide_out.end_sample
+                narrow_out, wide_out = narrow_out.outcome, wide_out.outcome
+            assert_guarded_bitwise(narrow_out, wide_out)
+
+
 def _trace(events, row: int = 0) -> list[tuple]:
     """Row ``row``'s share of segmenter events as comparable tuples."""
     out = []

@@ -18,6 +18,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import activate as activate_metrics
+from repro.obs.report import stage_rows
 from repro.obs.trace import Tracer, activate
 from repro.stream.fleet import FleetConfig, FleetSimulator
 from repro.stream.shard import (
@@ -102,6 +103,29 @@ class TestCompleteness:
         )
         assert latencies == sorted(report.latencies_s())
         assert {span.attrs["stream"] for span in utterances} == {0, 1}
+
+    def test_kernel_stage_spans_are_stream_stage_rows(
+        self, stream_detector
+    ):
+        tracer = Tracer()
+        with activate(tracer):
+            report = FleetSimulator(
+                stream_detector, small_config()
+            ).run()
+        rows = {
+            row["stage"]: row
+            for row in stage_rows(tracer.spans)
+            if row["mode"] == "stream"
+        }
+        # Utterance synthesis adds the trial pipeline's batch rows.
+        assert set(rows) == KERNEL_STAGES
+        # Cycle stages cover the group's two rows per call; the decide
+        # phase covers the utterances it decided.
+        for stage in ("assemble", "ingest", "segment", "welch"):
+            assert rows[stage]["trials"] == 2 * rows[stage]["calls"]
+        for stage in ("recognize", "detect"):
+            assert rows[stage]["calls"] == 1
+            assert rows[stage]["trials"] == report.n_utterances
 
 
 class TestShardBoundary:
