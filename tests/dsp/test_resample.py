@@ -1,8 +1,14 @@
 """Unit tests for sample-rate conversion."""
 
+import numpy as np
 import pytest
 
-from repro.dsp.resample import rational_ratio, resample, upsample_to
+from repro.dsp.resample import (
+    rational_ratio,
+    resample,
+    resample_array,
+    upsample_to,
+)
 from repro.dsp.signals import Unit, tone
 from repro.dsp.spectrum import dominant_frequency
 from repro.errors import SampleRateError
@@ -66,6 +72,26 @@ class TestResample:
         s = tone(100.0, 1.0, 8000.0)
         up = resample(s, 16000.0)
         assert up.n_samples == pytest.approx(2 * s.n_samples, abs=2)
+
+
+class TestResampleArray:
+    def test_float32_promoted_to_float64(self):
+        # One precision: float32 input is promoted exactly, so the
+        # result is the float64 resampling of the same values.
+        narrow = np.random.default_rng(7).normal(size=(2, 480)).astype(
+            np.float32
+        )
+        got = resample_array(narrow, 48000.0, 16000.0)
+        assert got.dtype == np.float64
+        assert np.array_equal(
+            got, resample_array(narrow.astype(np.float64), 48000.0, 16000.0)
+        )
+
+    def test_identity_rate_promotes_float32(self):
+        narrow = np.arange(8, dtype=np.float32)
+        got = resample_array(narrow, 16000.0, 16000.0)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, narrow.astype(np.float64))
 
 
 class TestUpsampleTo:

@@ -52,6 +52,24 @@ class TestSignalConstruction:
         with pytest.raises(SignalDomainError):
             Signal([0.0], 10.0, unit="furlongs")
 
+    def test_promotes_float32_exactly(self):
+        narrow = np.random.default_rng(4).normal(size=64).astype(
+            np.float32
+        )
+        s = Signal(narrow, 8000.0)
+        assert s.samples.dtype == np.float64
+        assert np.array_equal(s.samples, narrow.astype(np.float64))
+
+    def test_batch_constructor_promotes_float32_exactly(self):
+        from repro.dsp.signals import SignalBatch
+
+        narrow = np.random.default_rng(5).normal(size=(3, 16)).astype(
+            np.float32
+        )
+        batch = SignalBatch(narrow, 8000.0)
+        assert batch.samples.dtype == np.float64
+        assert np.array_equal(batch.samples, narrow.astype(np.float64))
+
 
 class TestSignalStatistics:
     def test_rms_of_sine(self):

@@ -11,6 +11,7 @@ from repro.dsp.spectrum import (
     power_spectrum,
     spectrogram,
     welch_psd,
+    welch_psd_matrix,
 )
 from repro.errors import SignalDomainError
 
@@ -58,6 +59,20 @@ class TestWelchPsd:
         s = tone(100.0, 1.0, 8000.0)
         with pytest.raises(SignalDomainError):
             welch_psd(s).band_power(200.0, 100.0)
+
+
+class TestWelchPsdMatrix:
+    def test_float32_promoted_to_float64(self, rng):
+        # One precision: float32 input is promoted exactly, so every
+        # row is the float64 estimate of the same values.
+        narrow = rng.normal(size=(2, 2048)).astype(np.float32)
+        freqs, psd = welch_psd_matrix(narrow, 8000.0, segment_length=256)
+        assert psd.dtype == np.float64
+        ref_freqs, ref_psd = welch_psd_matrix(
+            narrow.astype(np.float64), 8000.0, segment_length=256
+        )
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(psd, ref_psd)
 
 
 class TestPowerSpectrum:

@@ -513,6 +513,68 @@ class TestStageRows:
             assert row["trials"] == 2 * group.n_trials
 
 
+class TestOnePrecision:
+    """float64 is the only precision; the float32 knobs are gone."""
+
+    def test_recordings_are_float64_in_both_modes(
+        self, scenario, phone_device, group
+    ):
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(group.resolve_sources())
+        for batch in (False, True):
+            rngs = np.random.default_rng(7).spawn(group.n_trials)
+            for outcome in pipeline.run_trials(ctx, rngs, batch=batch):
+                assert outcome.recording.samples.dtype == np.float64
+
+    def test_fast_math_environment_is_ignored(
+        self, monkeypatch, scenario, phone_device, group
+    ):
+        # The retired REPRO_FAST_MATH flag must not change a single
+        # sample: a stale setting in a shell or CI job is inert.
+        results = {}
+        for flag in (None, "1"):
+            if flag is None:
+                monkeypatch.delenv("REPRO_FAST_MATH", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FAST_MATH", flag)
+            pipeline = build_pipeline(scenario, phone_device)
+            ctx = pipeline.context(group.resolve_sources())
+            rngs = np.random.default_rng(7).spawn(group.n_trials)
+            results[flag] = pipeline.run_trials(ctx, rngs, batch=True)
+        for plain, flagged in zip(results[None], results["1"]):
+            assert plain.success == flagged.success
+            assert plain.distance == flagged.distance
+            assert np.array_equal(
+                plain.recording.samples, flagged.recording.samples
+            )
+
+    @pytest.mark.parametrize(
+        "entry", ["build_pipeline", "engine", "build_dataset"]
+    )
+    def test_precision_keyword_is_rejected(
+        self, entry, scenario, phone_device
+    ):
+        # Callers still passing precision="float32" fail loudly rather
+        # than silently getting float64 at float64 speed.
+        from repro.defense.dataset import DatasetConfig, build_dataset
+        from repro.sim.engine import ExperimentEngine
+
+        calls = {
+            "build_pipeline": lambda: build_pipeline(
+                scenario, phone_device, precision="float32"
+            ),
+            "engine": lambda: ExperimentEngine(
+                jobs=1, precision="float32"
+            ),
+            "build_dataset": lambda: build_dataset(
+                DatasetConfig(commands=("ok_google",)),
+                precision="float32",
+            ),
+        }
+        with pytest.raises(TypeError, match="precision"):
+            calls[entry]()
+
+
 class TestRecognizeBatch:
     def test_bitwise_equal_to_scalar(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
