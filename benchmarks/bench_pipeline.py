@@ -1,20 +1,32 @@
-"""Benchmark the declarative trial pipeline: scalar vs batched mode.
+"""Benchmark the trial pipeline against the per-trial reference.
 
-Three workloads, each timed in both executor modes and verified to
-agree bitwise before any timing is reported:
+Three workloads, each timed three ways and verified to agree bitwise
+before any timing is reported:
+
+* the **per-trial reference** (:func:`differential.reference_trials`
+  from ``tests/``): one trial at a time through the public one-signal
+  primitives — ``add_ambient``, ``Microphone.record``,
+  ``KeywordRecognizer.recognize`` — with the transmission computed
+  once, as the pipeline does;
+* the pipeline with ``chunk_trials=1`` (the engine's ``batch=False``,
+  CLI ``--no-batch``): a diagnostic column, not gated;
+* the pipeline at its default chunk size (the engine's default).
+
+Workloads:
 
 * **T2-class trial groups** — the 32-speaker split-array success-rate
-  cell in the free field, executed through ``ExperimentEngine`` with
-  the pipeline's batched executor on and off. Recognition-inclusive,
-  so the batched DTW kernel and per-chunk filter-design amortisation
-  both count. Gated: batch must be >= 1.5x scalar in full mode.
+  cell in the free field, executed through ``ExperimentEngine``.
+  Recognition-inclusive, so the batched DTW kernel and per-chunk
+  filter-design amortisation both count. Gated: the pipeline must be
+  >= 1.5x the per-trial reference in full mode.
 * **walking-attacker trial groups** — the same cell under the mobile
   attacker, adding the per-trial motion-gain stage. Gated at the same
   1.5x floor.
 * **defense dataset build** — ``build_dataset`` for an F8-class
-  config. This workload is *parity-bound*: ~two thirds of its wall
-  clock is zero-phase filtering and per-trial noise draws that the
-  bitwise batch-equals-scalar contract forces both modes to execute
+  config against the same recordings made one trial at a time and
+  featurised one recording at a time. This workload is
+  *parity-bound*: ~two thirds of its wall clock is zero-phase
+  filtering and per-trial noise draws that both sides execute
   identically, so its honest ceiling is well below 1.5x (see the
   profile breakdown in EXPERIMENTS.md). It is reported as a
   diagnostic row with a regression tripwire, not a vectorization
@@ -34,11 +46,11 @@ speaker count::
     python benchmarks/bench_pipeline.py            # gated paper numbers
     python benchmarks/bench_pipeline.py --output /tmp/bench.json
 
-Exits non-zero if the modes disagree or any workload falls below its
-gate. Quick mode shrinks the workloads until fixed costs dominate, so
-its trial-group gates are regression tripwires (1.0x) rather than the
-full-mode 1.5x floor — CI runs the *full* bench for the vectorization
-gate.
+Exits non-zero if any two of the three disagree or any workload falls
+below its gate. Quick mode shrinks the workloads until fixed costs
+dominate, so its trial-group gates are regression tripwires (1.0x)
+rather than the full-mode 1.5x floor — CI runs the *full* bench for
+the vectorization gate.
 """
 
 from __future__ import annotations
@@ -47,10 +59,19 @@ import argparse
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from repro.defense.dataset import DatasetConfig, build_dataset
+from repro.acoustics.spl import spl_to_pressure
+from repro.attack.baselines import AudiblePlaybackAttacker
+from repro.defense import dataset as dataset_module
+from repro.defense.dataset import (
+    GENUINE_REFERENCE_SPL,
+    DatasetConfig,
+    build_dataset,
+)
+from repro.defense.features import FEATURE_NAMES, feature_vector
 from repro.experiments._emissions import array_split
 from repro.sim.bench import peak_rss_mb, write_bench_record
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
@@ -58,8 +79,15 @@ from repro.obs.report import render_stage_rows, stage_rows
 from repro.obs.trace import Tracer, activate
 from repro.sim.pipeline import build_pipeline
 from repro.sim.results import ResultTable
-from repro.sim.spec import get_scenario
+from repro.sim.spec import RIG_POSITION, get_scenario
 from repro.sim.scenario import VictimDevice
+from repro.speech.commands import synthesize_command
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from differential import (  # noqa: E402
+    reference_recordings,
+    reference_trials,
+)
 
 
 def _trial_group(scenario_name: str, seed: int, n_trials: int) -> TrialGroup:
@@ -72,6 +100,25 @@ def _trial_group(scenario_name: str, seed: int, n_trials: int) -> TrialGroup:
     )
 
 
+def _row(
+    workload: str,
+    timings: dict[str, float],
+    identical: bool,
+    min_speedup: float,
+    parity_bound: bool,
+) -> dict:
+    return {
+        "workload": workload,
+        "reference_s": timings["reference"],
+        "chunk1_s": timings["chunk1"],
+        "batch_s": timings["batch"],
+        "speedup": timings["reference"] / timings["batch"],
+        "identical": identical,
+        "min_speedup": min_speedup,
+        "parity_bound": parity_bound,
+    }
+
+
 def bench_trial_group(
     label: str,
     scenario_name: str,
@@ -79,42 +126,100 @@ def bench_trial_group(
     seed: int,
     min_speedup: float,
 ) -> dict:
-    """Scalar-vs-batch timing for one recognition trial-group cell."""
+    """Reference vs chunk-1 vs default-chunk timing for one trial group."""
     n_trials = 10 if quick else 50
     group = _trial_group(scenario_name, seed, n_trials)
-    group.resolve_sources()  # warm the emission cache for both modes
+    group.resolve_sources()  # warm the emission cache for every run
     timings = {}
     outcomes = {}
-    for mode in (False, True):
-        engine = ExperimentEngine(jobs=1, batch=mode)
+    started = time.perf_counter()
+    # The engine's streams for a one-group wave: one child per group,
+    # then one grandchild per trial.
+    (group_rng,) = np.random.default_rng(seed).spawn(1)
+    outcomes["reference"] = reference_trials(
+        group.scenario,
+        group.device,
+        group.resolve_sources(),
+        group_rng.spawn(n_trials),
+    )
+    timings["reference"] = time.perf_counter() - started
+    for label_key, batch in (("chunk1", False), ("batch", True)):
+        engine = ExperimentEngine(jobs=1, batch=batch)
         started = time.perf_counter()
-        outcomes[mode] = engine.run_trial_groups(
+        outcomes[label_key] = engine.run_trial_groups(
             [group], np.random.default_rng(seed), keep_recordings=False
         )[0]
-        timings[mode] = time.perf_counter() - started
-    agree = len(outcomes[False]) == len(outcomes[True]) and all(
-        x.success == y.success and x.distance == y.distance
-        for x, y in zip(outcomes[False], outcomes[True])
+        timings[label_key] = time.perf_counter() - started
+    reference = outcomes["reference"]
+    agree = all(
+        len(outcomes[key]) == len(reference)
+        and all(
+            x.success == y.success and x.distance == y.distance
+            for x, y in zip(reference, outcomes[key])
+        )
+        for key in ("chunk1", "batch")
     )
-    return {
-        "workload": f"{label} ({n_trials} trials)",
-        "scalar_s": timings[False],
-        "batch_s": timings[True],
-        "speedup": timings[False] / timings[True],
-        "identical": agree,
-        "min_speedup": min_speedup,
-        "parity_bound": False,
-    }
+    return _row(
+        f"{label} ({n_trials} trials)", timings, agree, min_speedup, False
+    )
+
+
+def reference_dataset_features(config: DatasetConfig) -> np.ndarray:
+    """``build_dataset``'s feature matrix, one trial at a time.
+
+    The same cells in the same draw order — per command a voice from
+    the master generator, then per distance one genuine and one
+    attack cell of ``n_trials`` spawned generators — recorded through
+    :func:`differential.reference_recordings` and featurised one
+    recording at a time with :func:`~repro.defense.features.feature_vector`.
+    """
+    spec = config.resolve_scenario()
+    distances = spec.clamp_distances(config.distances_m)
+    rng = np.random.default_rng(config.seed)
+    microphone = dataset_module._microphone(config.device)
+    attacker = dataset_module._build_attacker(config, RIG_POSITION)
+    low_spl, high_spl = config.speech_spl_range
+    reference_pressure = spl_to_pressure(GENUINE_REFERENCE_SPL)
+    names = config.feature_subset or FEATURE_NAMES
+
+    def level(trial_rng: np.random.Generator) -> float:
+        spl = float(trial_rng.uniform(low_spl, high_spl))
+        return spl_to_pressure(spl) / reference_pressure
+
+    rows = []
+    for command in config.commands:
+        voice = synthesize_command(command, rng)
+        attack_sources = attacker.emit(voice).sources
+        genuine_sources = AudiblePlaybackAttacker(
+            RIG_POSITION, speech_spl_at_1m=GENUINE_REFERENCE_SPL
+        ).emit(voice).sources
+        for distance in distances:
+            scenario = dataset_module._cell_scenario(
+                spec, config, command, distance
+            )
+            for sources, gain in (
+                (genuine_sources, level),
+                (attack_sources, None),
+            ):
+                for recording in reference_recordings(
+                    scenario,
+                    microphone,
+                    sources,
+                    rng.spawn(config.n_trials),
+                    level=gain,
+                ):
+                    rows.append(feature_vector(recording, subset=names))
+    return np.stack(rows)
 
 
 def bench_dataset_build(
     quick: bool, seed: int, min_speedup: float
 ) -> dict:
-    """Scalar-vs-batch timing for an F8-class defense dataset build.
+    """Reference vs chunk-1 vs default-chunk timing for a dataset build.
 
     Diagnostic row: the build is dominated by bitwise-parity DSP (the
     zero-phase device filters and per-trial noise draws run
-    identically in both modes), so near-parity is the expectation and
+    identically on every side), so near-parity is the expectation and
     the gate is a tripwire against pathological regressions only.
     """
     config = DatasetConfig(
@@ -127,34 +232,37 @@ def bench_dataset_build(
     )
     timings = {}
     features = {}
-    for mode in (False, True):
+    started = time.perf_counter()
+    features["reference"] = reference_dataset_features(config)
+    timings["reference"] = time.perf_counter() - started
+    for key, batch in (("chunk1", False), ("batch", True)):
         started = time.perf_counter()
-        features[mode] = build_dataset(config, batch=mode).features
-        timings[mode] = time.perf_counter() - started
-    return {
-        "workload": (
+        features[key] = build_dataset(config, batch=batch).features
+        timings[key] = time.perf_counter() - started
+    identical = all(
+        np.array_equal(features["reference"], features[key])
+        for key in ("chunk1", "batch")
+    )
+    return _row(
+        (
             f"defense dataset build ({config.n_trials} trials x "
             f"{len(config.commands)} commands x "
             f"{len(config.distances_m)} distances)"
         ),
-        "scalar_s": timings[False],
-        "batch_s": timings[True],
-        "speedup": timings[False] / timings[True],
-        "identical": bool(
-            np.array_equal(features[False], features[True])
-        ),
-        "min_speedup": min_speedup,
-        "parity_bound": True,
-    }
+        timings,
+        identical,
+        min_speedup,
+        True,
+    )
 
 
 def profile_stages(quick: bool, seed: int) -> list[dict]:
-    """Per-stage wall-time rows of the T2 cell, both modes.
+    """Per-stage wall-time rows of the T2 cell at the default chunk size.
 
     A separate traced pass (the timed runs above stay untraced): the
-    executor's stage spans reduce to one row per (mode, stage), so
-    the JSON artifact records *where* each mode spends its time — the
-    first thing to look at when a gate trips.
+    executor's stage spans reduce to one row per stage, so the JSON
+    artifact records *where* the pipeline spends its time — the first
+    thing to look at when a gate trips.
     """
     n_trials = 10 if quick else 50
     group = _trial_group("free_field", seed, n_trials)
@@ -162,9 +270,8 @@ def profile_stages(quick: bool, seed: int) -> list[dict]:
     ctx = pipeline.context(group.resolve_sources())
     tracer = Tracer()
     with activate(tracer):
-        for mode in (False, True):
-            rngs = np.random.default_rng(seed).spawn(n_trials)
-            pipeline.run_trials(ctx, rngs, batch=mode)
+        rngs = np.random.default_rng(seed).spawn(n_trials)
+        pipeline.run_trials(ctx, rngs)
     return stage_rows(tracer.spans)
 
 
@@ -190,7 +297,7 @@ def context_peak_mb(seed: int) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="trial pipeline: scalar vs batched wall clock"
+        description="trial pipeline vs the per-trial reference: wall clock"
     )
     parser.add_argument(
         "--quick",
@@ -228,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     record = write_bench_record(
         args.output,
         {
-            "benchmark": "trial-pipeline scalar vs batched",
+            "benchmark": "trial pipeline vs per-trial reference",
             "quick": args.quick,
             "seed": args.seed,
             "results": results,
@@ -238,13 +345,19 @@ def main(argv: list[str] | None = None) -> int:
         },
     )
     table = ResultTable(
-        title="trial pipeline: scalar vs batched (single worker)",
-        columns=["workload", "scalar s", "batch s", "speedup"],
+        title=(
+            "trial pipeline vs per-trial reference (single worker; "
+            "speedup = reference / batch)"
+        ),
+        columns=[
+            "workload", "reference s", "chunk-1 s", "batch s", "speedup",
+        ],
     )
     for result in results:
         table.add_row(
             result["workload"],
-            result["scalar_s"],
+            result["reference_s"],
+            result["chunk1_s"],
             result["batch_s"],
             result["speedup"],
         )
@@ -257,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output}", file=sys.stderr)
     if not all(result["identical"] for result in results):
         print(
-            "FAIL: batched and scalar outputs disagree", file=sys.stderr
+            "FAIL: the pipeline and the per-trial reference disagree",
+            file=sys.stderr,
         )
         return 1
     failed = [

@@ -11,7 +11,6 @@ Run: ``python examples/long_range_attack.py``   (takes ~1 minute)
 import numpy as np
 
 from repro import (
-    AcousticChannel,
     LongRangeAttacker,
     Position,
     SingleSpeakerAttacker,
@@ -21,7 +20,7 @@ from repro import (
     ultrasonic_piezo_element,
 )
 from repro.psychoacoustics import evaluate_audibility
-from repro.sim import Scenario, ScenarioRunner, VictimDevice
+from repro.sim import ExperimentEngine, Scenario, VictimDevice
 
 rng = np.random.default_rng(7)
 COMMAND = "ok_google"
@@ -29,6 +28,7 @@ ORIGIN = Position(0.0, 2.0, 1.0)
 
 voice = synthesize_command(COMMAND, rng)
 device = VictimDevice.phone(seed=1)
+engine = ExperimentEngine(jobs=1)
 scenario = Scenario(
     command=COMMAND,
     attacker_position=ORIGIN,
@@ -59,8 +59,9 @@ for n_elements in (8, 24, 61):
         f"audibility margin {worst_margin:+.1f} dB (negative = silent):"
     )
     for distance in (2.0, 4.0, 6.0, 8.0):
-        runner = ScenarioRunner(scenario.at_distance(distance), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        outcomes = engine.run_trials(
+            scenario.at_distance(distance), device, emission.sources, 3, rng
+        )
         successes = sum(o.success for o in outcomes)
         print(f"  {distance:4.1f} m: {successes}/3 injections recognised")
 

@@ -78,7 +78,7 @@ from repro.defense import (
     InaudibleVoiceDetector,
     build_dataset,
 )
-from repro.sim import Scenario, ScenarioRunner, VictimDevice
+from repro.sim import ExperimentEngine, Scenario, VictimDevice
 
 __version__ = "1.0.0"
 
@@ -131,7 +131,7 @@ __all__ = [
     "DatasetConfig",
     "build_dataset",
     # sim
+    "ExperimentEngine",
     "Scenario",
-    "ScenarioRunner",
     "VictimDevice",
 ]

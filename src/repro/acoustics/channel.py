@@ -86,9 +86,10 @@ class AcousticChannel:
         """Add one trial's ambient-noise draw to a clean waveform.
 
         The stochastic half of :meth:`receive`, exposed so callers
-        that assemble the clean waveform themselves (the scenario
-        runner sums attack, motion and interference contributions
-        first) add noise through the *same* code path and draw.
+        that assemble the clean waveform themselves (attack, motion
+        and interference contributions summed first) add noise through
+        the *same* code path and draw; the trial pipeline calls it once
+        per trial for a subclassed channel.
         """
         if self.ambient_noise_spl is None:
             return total
@@ -134,23 +135,6 @@ class AcousticChannel:
             total = arrived if total is None else total + arrived
         return total
 
-    def receive_batch(
-        self,
-        sources: list[PlacedSource],
-        receiver: Position,
-        rngs: list[np.random.Generator],
-    ) -> SignalBatch:
-        """One arrived waveform per trial generator, as a stacked batch.
-
-        Row ``i`` is bitwise identical to
-        ``receive(sources, receiver, rngs[i])``: the deterministic
-        transmission is computed once and each row adds that trial's
-        ambient-noise draw (the same :func:`white_noise` draw, from
-        the same generator, as the scalar path makes).
-        """
-        clean = self.transmit(sources, receiver)
-        return self.ambient_batch(clean, rngs)
-
     def ambient_batch(
         self,
         clean: Signal | SignalBatch,
@@ -158,14 +142,14 @@ class AcousticChannel:
     ) -> SignalBatch:
         """Per-trial ambient-noise copies of the transmitted waveform.
 
-        The noise-adding half of :meth:`receive_batch`, split out so
-        the trial kernel can pay for :meth:`transmit` once and then
-        stream trial chunks through here with bounded memory. ``clean``
+        The stacked counterpart of :meth:`add_ambient`: the trial
+        pipeline pays for :meth:`transmit` once and then streams trial
+        chunks through here with bounded memory. ``clean``
         is either one shared waveform (static scenarios — every trial
         hears the same transmission) or an already-stacked
         ``(n_trials, n_samples)`` batch (mobile scenarios — each row
         carries that trial's geometry gain). Row ``i`` of the result
-        adds the draw ``rngs[i]`` would make on the scalar path.
+        is bitwise ``add_ambient(row_i, rngs[i])``.
         """
         if not rngs:
             raise SignalDomainError(

@@ -38,11 +38,7 @@ import numpy as np
 from repro.attack.array import grid_array
 from repro.attack.attacker import LongRangeAttacker, SingleSpeakerAttacker
 from repro.attack.baselines import AudiblePlaybackAttacker
-from repro.defense.features import (
-    FEATURE_NAMES,
-    feature_matrix,
-    feature_vector,
-)
+from repro.defense.features import FEATURE_NAMES, feature_matrix
 from repro.hardware.devices import (
     amazon_echo_microphone,
     android_phone_microphone,
@@ -50,7 +46,7 @@ from repro.hardware.devices import (
     ultrasonic_piezo_element,
 )
 from repro.sim.cache import EmissionCache
-from repro.sim.pipeline import build_pipeline, level_stage
+from repro.sim.pipeline import CHUNK_TRIALS, build_pipeline, level_stage
 from repro.sim.scenario import Scenario
 from repro.sim.spec import RIG_POSITION, ScenarioSpec, get_scenario
 from repro.speech.commands import COMMAND_CORPUS, synthesize_command
@@ -237,11 +233,10 @@ def build_dataset(
     command at :data:`GENUINE_REFERENCE_SPL`; trial variation comes
     from ambient noise, microphone self-noise and the talker-level
     gain. Every (command, distance, class) cell executes through the
-    shared trial pipeline — batched by default. ``batch=False`` walks
-    the scalar stage list instead *and* extracts features one
-    recording at a time, so the flag is an honest fully-scalar versus
-    fully-batched A/B; features and recordings are bitwise identical
-    either way, which the experiment-level differential suites check.
+    shared trial pipeline in stacked chunks; ``batch=False`` runs
+    chunks of one trial through the same kernels instead. Features and
+    recordings are bitwise identical either way, which the
+    experiment-level differential suites check.
     """
     spec = config.resolve_scenario()
     try:
@@ -258,6 +253,7 @@ def build_dataset(
     # on command or class, so a tv_interference dataset propagates it
     # once per distance instead of once per (command, distance, class).
     invariants = EmissionCache()
+    chunk_trials = CHUNK_TRIALS if batch else 1
     recordings = []
     labels: list[int] = []
     metadata: list[dict] = []
@@ -289,7 +285,7 @@ def build_dataset(
             genuine_recordings = genuine_pipeline.run_trials(
                 genuine_pipeline.context(genuine_sources),
                 rng.spawn(config.n_trials),
-                batch=batch,
+                chunk_trials=chunk_trials,
             )
             for recording, spl in zip(genuine_recordings, levels):
                 recordings.append(recording)
@@ -314,7 +310,7 @@ def build_dataset(
             attack_recordings = attack_pipeline.run_trials(
                 attack_pipeline.context(attack_sources),
                 rng.spawn(config.n_trials),
-                batch=batch,
+                chunk_trials=chunk_trials,
             )
             for recording in attack_recordings:
                 recordings.append(recording)
@@ -327,22 +323,10 @@ def build_dataset(
                         "scenario": config.scenario,
                     }
                 )
-    if batch:
-        # Feature extraction is deferred to one batched pass over
-        # every recording; equal-length rows share stacked PSDs and
-        # envelopes.
-        features = feature_matrix(recordings, subset=names)
-    else:
-        # The scalar A/B stays scalar end to end: one recording per
-        # extraction call, bitwise identical rows to the batched pass.
-        features = np.stack(
-            [
-                feature_vector(recording, subset=names)
-                for recording in recordings
-            ]
-        )
+    # Feature extraction is deferred to one batched pass over every
+    # recording; equal-length rows share stacked PSDs and envelopes.
     return LabeledDataset(
-        features=features,
+        features=feature_matrix(recordings, subset=names),
         labels=np.asarray(labels, dtype=int),
         metadata=metadata,
         feature_names=tuple(names),

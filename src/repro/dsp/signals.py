@@ -391,8 +391,8 @@ class Signal:
 class SignalBatch:
     """A stack of equal-length waveforms sharing one rate and unit.
 
-    The container behind the vectorized trial kernel
-    (:mod:`repro.sim.batch`): ``samples`` is a two-dimensional
+    The container behind the stacked trial pipeline
+    (:mod:`repro.sim.pipeline`): ``samples`` is a two-dimensional
     ``float64`` array of shape ``(n_signals, n_samples)`` — one trial
     (or one source) per row, time along the last axis. Batched DSP
     stages operate on the whole stack with ``axis=-1`` operations, so

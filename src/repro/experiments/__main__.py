@@ -11,8 +11,9 @@ Run everything (quick mode) on every core::
 Add ``--full`` for the full-resolution sweeps recorded in
 EXPERIMENTS.md, ``--seed N`` to vary the master seed, and ``--jobs N``
 to bound the worker pool (default: all CPU cores; ``--jobs 1`` runs
-serially). ``--no-batch`` disables the vectorized batch trial kernel
-and walks the scalar stage list instead. ``--scenario NAME`` runs any
+serially). ``--no-batch`` runs trials one per chunk through the
+trial pipeline instead of in stacked chunks; the kernels, and so the
+output, are the same. ``--scenario NAME`` runs any
 experiment — every one of the 16 accepts it — in a registered
 environment (``repro.sim.spec``): a reverberant room, a walking
 attacker, TV interference, outdoor wind; ``--list-scenarios`` prints
@@ -21,7 +22,9 @@ deterministic environment from the integer seed (``repro.sim.fuzz``) —
 random room, multi-leg trajectory, multiple interferers, weather —
 and echoes the generated spec to stderr for reproduction. Rendered
 tables go to stdout and are byte-identical for every ``--jobs`` value
-and for both batch modes; per-experiment timings go to stderr.
+and with or without ``--no-batch``; per-experiment timings
+(``time.perf_counter``) go to stderr, so ``python -m
+repro.experiments X [--full]`` is also the per-experiment benchmark.
 
 ``--trace PATH`` writes a JSONL span trace of the whole run (pipeline
 stages, engine fan-out, stream-kernel cycles, shard lifecycles —
@@ -95,9 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-batch",
         action="store_true",
-        help="disable the vectorized batch trial kernel (scalar "
-        "per-trial walk of the same stage list; identical output, "
-        "slower)",
+        help="run trials one per chunk instead of in stacked chunks "
+        "(same kernels, identical output, slower)",
     )
     parser.add_argument(
         "--shards",
@@ -225,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         for name in names:
             module = ALL_EXPERIMENTS[name]
-            started = time.time()
+            started = time.perf_counter()
             kwargs = dict(
                 quick=not args.full,
                 seed=args.seed,
@@ -261,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            elapsed = time.time() - started
+            elapsed = time.perf_counter() - started
             print(
                 f"[{name}] finished in {elapsed:.1f} s "
                 f"(jobs={engine.jobs})",

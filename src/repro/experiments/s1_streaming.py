@@ -170,8 +170,8 @@ def run(
     ``shards`` routes the fleet through the process-sharded driver
     (:class:`~repro.stream.shard.ShardedFleetSimulator`). The fleet
     always runs the guard kernel; the engine's batch flag
-    (``--no-batch``) only selects the scalar or batched dataset build
-    of the detector that guards it. ``streams`` overrides the fleet
+    (``--no-batch``) only selects the chunk size (one trial or
+    stacked) of the dataset build of the detector that guards it. ``streams`` overrides the fleet
     size. The rendered table — dispositions, latencies and the fleet
     digest row — is byte-identical for every shard count *and* both
     detector builds at any fleet size (the CI shard-determinism job

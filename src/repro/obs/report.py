@@ -20,8 +20,7 @@ span tree (:mod:`repro.obs.trace`):
 :func:`stage_rows` reduces the same spans to the per-stage table the
 benchmark records carry: any span with ``mode`` and ``trials``
 attributes is one stage call, whether the offline executor
-(``"scalar"``/``"batch"``) or the stream kernel (``"stream"``)
-recorded it.
+(``"batch"``) or the stream kernel (``"stream"``) recorded it.
 
 ``summarize()`` returns the same content machine-readably; the CLI
 (``python -m repro.obs report``) can write it with ``--json``.
@@ -209,8 +208,8 @@ def stage_rows(spans: Sequence[Span]) -> list[dict[str, Any]]:
     """Per-(mode, stage) wall time from stage spans, first-seen order.
 
     Each span carrying ``mode`` and ``trials`` attributes is one
-    stage call covering ``trials`` rows: trials of a scalar walk or a
-    batch chunk, stream rows of a kernel cycle, utterances of a
+    stage call covering ``trials`` rows: trials of a pipeline chunk,
+    stream rows of a kernel cycle, utterances of a
     decide phase. Rows sum those calls; ``seconds_per_trial`` is
     ``seconds / trials`` (0 with no trials).
     """

@@ -12,22 +12,14 @@
 ``pipeline``
     The declarative trial chain: a :class:`TrialPipeline` of named
     :class:`Stage` objects (transmit -> motion-gain -> interference ->
-    ambient -> microphone -> adc -> recognize), each with a scalar and
-    an optional batch kernel, walked by one executor in either mode —
-    batch-vs-scalar bitwise identity holds by construction.
-``runner``
-    Executes a scenario trial by trial: the scalar driver over the
-    shared pipeline, returning per-trial outcomes.
+    ambient -> microphone -> adc -> recognize), each one kernel over a
+    chunk of trials, folded by one executor; outcomes are bitwise
+    identical for every chunk size.
 ``engine``
     Parallel cached execution: fans trial groups over a process pool
     with ``SeedSequence``-spawned per-trial streams (bit-identical for
-    any ``jobs``) and a per-process emission/synthesis cache.
-``batch``
-    The batched driver over the shared pipeline: one deterministic
-    transmission per trial group, per-trial stages as stacked 2-D
-    operations — bitwise identical to the scalar runner, ~an order of
-    magnitude faster on trial-heavy groups. The engine uses it by
-    default.
+    any ``jobs``) and a per-process emission/synthesis cache; every
+    trial runs through the pipeline's executor.
 ``sweep``
     Parameter sweeps (distance, power, speaker count) built on the
     engine, with emission caching so sweeps stay tractable.
@@ -69,11 +61,10 @@ from repro.sim.spec import (
 from repro.sim.pipeline import (
     Stage,
     TrialContext,
+    TrialOutcome,
     TrialPipeline,
     build_pipeline,
 )
-from repro.sim.runner import ScenarioRunner, TrialOutcome
-from repro.sim.batch import BatchSupport, run_group_batch, supports_batch
 from repro.sim.engine import (
     EmissionCache,
     EmissionSpec,
@@ -97,7 +88,6 @@ __all__ = [
     "append_trajectory",
     "machine_metadata",
     "AttackerMotion",
-    "BatchSupport",
     "InterferenceSource",
     "InterferenceSpec",
     "RIG_POSITION",
@@ -107,7 +97,6 @@ __all__ = [
     "TrajectorySpec",
     "VictimDevice",
     "WeatherSpec",
-    "ScenarioRunner",
     "Stage",
     "TrialContext",
     "TrialOutcome",
@@ -129,10 +118,8 @@ __all__ = [
     "interference_waveform",
     "process_cache",
     "register_scenario",
-    "run_group_batch",
     "scenario_names",
     "stable_key",
-    "supports_batch",
     "success_rate",
     "accuracy_over_distances",
     "attack_range_m",

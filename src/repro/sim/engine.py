@@ -19,11 +19,14 @@ their noise draws. Three observations make the whole suite scale:
 3. **The serial path is the degenerate case.** With ``jobs=1`` the
    engine runs every task in-process with no executor, identical code
    path, identical numbers.
-4. **Inside each worker the hot path is vectorized.** By default trial
-   chunks run through :mod:`repro.sim.batch`: the deterministic
-   transmission is computed once per group and the per-trial noise /
-   microphone / ADC stages execute as stacked 2-D operations, bitwise
-   identical to the scalar loop (``batch=False``, CLI ``--no-batch``).
+4. **Inside each worker the hot path is vectorized.** Each task runs
+   its trials through the group's :class:`~repro.sim.pipeline.TrialPipeline`:
+   the deterministic transmission is computed once per group and the
+   per-trial noise / microphone / ADC / recognition stages execute
+   over stacked chunks of up to
+   :data:`~repro.sim.pipeline.CHUNK_TRIALS` trials. ``batch=False``
+   (CLI ``--no-batch``) runs chunks of one trial through the same
+   kernels; outcomes are bitwise identical either way.
 
 The engine is the substrate under :mod:`repro.sim.sweep`, all the
 ``repro.experiments`` modules and the ``python -m repro.experiments``
@@ -46,7 +49,7 @@ from repro.errors import ExperimentError
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import Tracer, activate as activate_tracer, current_tracer
 from repro.sim.cache import CacheStats, EmissionCache, stable_key
-from repro.sim.pipeline import TrialOutcome, build_pipeline
+from repro.sim.pipeline import CHUNK_TRIALS, TrialOutcome, build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.speech.commands import synthesize_command
 
@@ -148,22 +151,18 @@ class TrialGroup:
 
 
 def _run_trial_batch(
-    task: tuple[TrialGroup, tuple[np.random.Generator, ...], bool, bool],
+    task: tuple[TrialGroup, tuple[np.random.Generator, ...], bool, int],
 ) -> list[TrialOutcome] | tuple[list[TrialOutcome], list]:
-    """Worker: execute one chunk of a group's trials.
+    """Worker: execute one slice of a group's trials.
 
     Module-level so it pickles by reference; the emission is resolved
     here, inside the executing process, through its cache. A thin
     driver over the shared declarative pipeline
     (:mod:`repro.sim.pipeline`): build the group's stage list once,
     precompute the trial-invariant transmissions, then execute the
-    generators through it. With ``use_batch`` set (the default engine
-    mode) the pipeline runs its batched executor — one transmission,
-    stacked 2-D trial operations — and falls back to the scalar walk
-    of the *same* stage list for groups whose
-    :meth:`~repro.sim.pipeline.TrialPipeline.batch_support` fold
-    refuses. Both modes consume the same spawned generators in the
-    same per-stage order, so their outcomes are bitwise identical.
+    generators through it in chunks of at most ``chunk_trials``. Every
+    chunk size consumes the same spawned generators in the same
+    per-stage order, so outcomes are bitwise identical.
 
     When the caller only wants success statistics,
     ``keep_recordings=False`` drops each outcome's device-rate
@@ -181,7 +180,7 @@ def _run_trial_batch(
     Tracing never touches the trial computation itself, so outcomes
     stay bitwise identical either way.
     """
-    group, rngs, keep_recordings, use_batch = task[:4]
+    group, rngs, keep_recordings, chunk_trials = task[:4]
     trace = bool(task[4]) if len(task) > 4 else False
 
     def execute() -> list[TrialOutcome]:
@@ -191,14 +190,14 @@ def _run_trial_batch(
             keep_recordings=keep_recordings,
         )
         ctx = pipeline.context(group.resolve_sources())
-        return pipeline.run_trials(ctx, rngs, batch=use_batch)
+        return pipeline.run_trials(ctx, rngs, chunk_trials=chunk_trials)
 
     if not trace:
         return execute()
     local = Tracer()
     with activate_tracer(local):
         with local.span(
-            "trial-batch", trials=len(rngs), batched=use_batch
+            "trial-batch", trials=len(rngs), chunk_trials=chunk_trials
         ):
             outcomes = execute()
     return outcomes, local.spans
@@ -300,13 +299,11 @@ class ExperimentEngine:
         ``jobs=1`` is the serial degenerate case: no pool, no pickling,
         same numbers. Results are bit-identical for every value.
     batch:
-        Whether trial chunks run through the vectorized kernel
-        (:mod:`repro.sim.batch`) — one deterministic transmission per
-        group, stacked 2-D trial operations — instead of the scalar
-        per-trial loop. Defaults to ``True``; both modes are bitwise
-        identical (the kernel falls back to the scalar path for groups
-        it cannot prove equivalent), so this flag changes wall clock,
-        never numbers. The CLI exposes it as ``--no-batch``.
+        Whether trials run through the pipeline in stacked chunks of
+        up to :data:`~repro.sim.pipeline.CHUNK_TRIALS` (the default)
+        or one trial per chunk. Outcomes are bitwise identical for
+        every chunk size, so this flag changes wall clock, never
+        numbers. The CLI exposes it as ``--no-batch``.
 
     The engine owns at most one :class:`ProcessPoolExecutor`, created
     lazily on first parallel use and reused across calls (and across
@@ -399,9 +396,9 @@ class ExperimentEngine:
         (identically at every ``jobs`` value) so success-rate waves do
         not pickle waveforms back from the pool.
 
-        ``batch`` overrides the engine-wide vectorized-kernel setting
-        for this call (``None`` inherits it). Outcomes are bitwise
-        identical either way; only throughput changes.
+        ``batch`` overrides the engine-wide chunking setting for this
+        call (``None`` inherits it). Outcomes are bitwise identical
+        either way; only throughput changes.
         """
         groups = list(groups)
         if not groups:
@@ -412,6 +409,7 @@ class ExperimentEngine:
                     f"n_trials must be >= 1, got {group.n_trials}"
                 )
         use_batch = self.batch if batch is None else bool(batch)
+        chunk_trials = CHUNK_TRIALS if use_batch else 1
         tracer = current_tracer()
         trace = tracer is not None
         # Coarse batches keep emission materialisation local: with
@@ -429,7 +427,7 @@ class ExperimentEngine:
                     group,
                     tuple(batch),
                     keep_recordings,
-                    use_batch,
+                    chunk_trials,
                     trace,
                 )
                 for batch in batches

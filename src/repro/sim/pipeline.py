@@ -1,51 +1,45 @@
-"""The declarative trial pipeline: one stage list, two execution modes.
+"""The declarative trial pipeline: one stage list, one executor.
 
-Before this module existed the simulator carried two hand-synchronized
-implementations of the per-trial attack chain — the scalar loop in
-:class:`repro.sim.runner.ScenarioRunner` and the vectorized kernel in
-:mod:`repro.sim.batch` — whose bitwise agreement rested on a draw-order
-contract stated in comments and pinned only by differential tests.
-Here the chain is *data*: a :class:`TrialPipeline` is an ordered list
-of named :class:`Stage` objects
+The per-trial attack chain is *data*: a :class:`TrialPipeline` is an
+ordered list of named :class:`Stage` objects
 
     transmit -> motion-gain -> [interference] -> ambient ->
     microphone -> adc -> recognize
 
-where each stage declares a scalar kernel (one trial, one
-:class:`~repro.dsp.signals.Signal`, one generator) and an optional
-batch kernel (a whole trial chunk as ``(n_trials, n_samples)`` stacks,
-one generator per row). A single executor walks the same list in
-either mode, so batch-vs-scalar bitwise identity holds *by
-construction*: there is no second statement of the stage order left to
-drift.
+and each stage carries one kernel over a chunk of trials (stacked
+``(n_trials, n_samples)`` values, one generator per row). The executor
+folds bounded chunks of the trial generators through that list.
+Repeating one fixed emission many times, as the paper does, is a
+chunk of up to :data:`CHUNK_TRIALS` trials; the per-trial mode is a
+chunk of one, through the same kernels.
 
-Per-stage random draws are the equivalence discipline: a stage's batch
-kernel must consume exactly the draws its scalar kernel would, from
-the same per-trial generators, in row order. The built-in stages obey
-this (motion gains are drawn one-per-generator before the stacked
-multiply; ambient and self-noise draw row by row), and the
-property-based suite checks the executor preserves it for arbitrary
-stage lists.
+Per-stage random draws are the determinism discipline: a kernel
+draws from generator ``i`` for row ``i``, in row order, exactly the
+draws one trial alone would make (motion gains are drawn
+one-per-generator before the stacked multiply; ambient and self-noise
+draw row by row). Outcomes therefore do not depend on the chunk size;
+the property-based suite checks the executor preserves that for
+arbitrary stage lists, and the primitive tests pin every stacked
+kernel row against its one-signal counterpart.
 
-Whether a whole pipeline may take the batched path is a *fold* over
-its stages' :class:`BatchSupport`: the first stage that lacks a batch
-kernel, or whose construction-time check refused (a subclassed
-microphone whose overridden ``record`` the stacked chain would
-bypass), decides — with a structured reason instead of a silent
-``False``.
+A subclassed model keeps its semantics through a per-row adapter: a
+non-stock microphone, nonlinearity or recogniser, or a non-stock
+channel from a subclassed
+:meth:`~repro.sim.scenario.Scenario.channel`, gets a stage that maps
+the overridden per-trial method over the chunk's rows, each row with
+its own generator, instead of the stacked kernel that would bypass
+it.
 
 :func:`build_pipeline` assembles the canonical attack pipeline for a
 (scenario, device) pair. The defense's dataset synthesis composes its
 own variant — the same stages minus recognition, plus a per-trial
-talker-level gain — through the same builders, which is what lets
-labelled-recording synthesis run on the batched path in every
-registered environment.
+talker-level gain — through the same builders.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -61,14 +55,14 @@ from repro.sim.cache import EmissionCache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.speech.recognizer import KeywordRecognizer
 
-#: Trials stacked per batched executor pass. Sixteen acoustic-rate
-#: rows keep every intermediate in the low tens of MB — large enough
-#: that a 10-trial dataset cell or a 50-trial sweep group pays the
-#: per-chunk fixed costs (filter design, zero-phase initial
-#: conditions, batch construction) a handful of times rather than
-#: per-trial, small enough that the filter chain's temporaries stay
-#: within memory bounds. Row-at-a-time filtering keeps the hot DSP
-#: cache-resident regardless of the stack height.
+#: Trials stacked per executor pass. Sixteen acoustic-rate rows keep
+#: every intermediate in the low tens of MB — large enough that a
+#: 10-trial dataset cell or a 50-trial sweep group pays the per-chunk
+#: fixed costs (filter design, zero-phase initial conditions, batch
+#: construction) a handful of times rather than per-trial, small
+#: enough that the filter chain's temporaries stay within memory
+#: bounds. Row-at-a-time filtering keeps the hot DSP cache-resident
+#: regardless of the stack height.
 CHUNK_TRIALS = 16
 
 #: Transmitted interference beds retained per invariants cache. Real
@@ -76,30 +70,6 @@ CHUNK_TRIALS = 16
 #: bound exists so a sweeping caller cannot grow the precompute cache
 #: without limit (the unbounded dict this replaces).
 _INVARIANT_CACHE_ENTRIES = 8
-
-
-@dataclass(frozen=True)
-class BatchSupport:
-    """Whether a stage (or pipeline) may take the batched path.
-
-    Truthiness matches ``supported`` so ``if supports_batch(group):``
-    call sites keep working; the ``reason`` carries the structured
-    explanation a silent ``False`` used to swallow.
-    """
-
-    supported: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.supported
-
-    @classmethod
-    def ok(cls) -> "BatchSupport":
-        return cls(supported=True)
-
-    @classmethod
-    def refused(cls, reason: str) -> "BatchSupport":
-        return cls(supported=False, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -144,16 +114,10 @@ class TrialContext:
     clean_interference: Signal | None = None
 
 
-#: Scalar kernel: (context, value-in, per-trial generator) -> value-out.
-ScalarKernel = Callable[
-    [TrialContext, Any, "np.random.Generator | None"], Any
-]
-#: Batch kernel: (context, stacked value-in, per-trial generators) ->
-#: stacked value-out. Must consume exactly the draws the scalar kernel
-#: would, from the same generators, in row order.
-BatchKernel = Callable[
-    [TrialContext, Any, Sequence[np.random.Generator]], Any
-]
+#: Stage kernel: (context, value-in for the chunk, one generator per
+#: trial) -> value-out for the chunk. Row ``i`` must consume exactly
+#: the draws trial ``i`` alone would, from ``rngs[i]``.
+Kernel = Callable[[TrialContext, Any, Sequence[np.random.Generator]], Any]
 
 
 @dataclass(frozen=True)
@@ -164,43 +128,17 @@ class Stage:
     ----------
     name:
         Stable identifier (``"transmit"``, ``"ambient"``, ...); shown
-        in refusal reasons and the pipeline diagram.
-    scalar:
-        The reference implementation, one trial at a time.
-    batch:
-        Optional vectorized implementation over a trial chunk;
-        ``None`` means the whole pipeline must take the scalar path.
-    support:
-        Construction-time batch verdict. A builder that *has* a batch
-        kernel but cannot prove it equivalent (subclassed hardware
-        model) attaches the refusal here so the fold can report why.
+        in the pipeline diagram and the stage spans.
+    kernel:
+        The step over a chunk of trials.
     """
 
     name: str
-    scalar: ScalarKernel
-    batch: BatchKernel | None = None
-    support: BatchSupport = field(default_factory=BatchSupport.ok)
-
-    def batch_support(self) -> BatchSupport:
-        """This stage's contribution to the pipeline-level fold."""
-        if not self.support:
-            return self.support
-        if self.batch is None:
-            return BatchSupport.refused(
-                f"stage {self.name!r} declares no batch kernel"
-            )
-        return BatchSupport.ok()
+    kernel: Kernel
 
 
 class TrialPipeline:
-    """An ordered stage list plus the mode-agnostic executor.
-
-    The same ``stages`` tuple drives both execution modes:
-    :meth:`run_scalar` folds each trial through every stage's scalar
-    kernel; :meth:`run_trials` with ``batch=True`` folds bounded trial
-    chunks through the batch kernels instead — falling back to the
-    scalar walk automatically when :meth:`batch_support` refuses.
-    """
+    """An ordered stage list plus its executor."""
 
     def __init__(
         self,
@@ -234,14 +172,6 @@ class TrialPipeline:
         """The declared order, for diagrams and ordering tests."""
         return tuple(stage.name for stage in self.stages)
 
-    def batch_support(self) -> BatchSupport:
-        """Fold of the per-stage verdicts: first refusal wins."""
-        for stage in self.stages:
-            support = stage.batch_support()
-            if not support:
-                return support
-        return BatchSupport.ok()
-
     # -- trial-invariant precompute -----------------------------------
 
     def context(self, sources: Sequence[PlacedSource]) -> TrialContext:
@@ -260,43 +190,20 @@ class TrialPipeline:
 
     # -- execution ----------------------------------------------------
 
-    def run_scalar(
-        self, ctx: TrialContext, rng: np.random.Generator
-    ) -> Any:
-        """One trial through every stage's scalar kernel, in order.
-
-        With a :mod:`repro.obs` tracer active, each stage call is
-        recorded as a span tagged ``mode="scalar", trials=1``.
-        """
-        tracer = current_tracer()
-        value: Any = None
-        for stage in self.stages:
-            started = time.perf_counter() if tracer is not None else 0.0
-            value = stage.scalar(ctx, value, rng)
-            if tracer is not None:
-                tracer.record(
-                    stage.name,
-                    started,
-                    time.perf_counter(),
-                    mode="scalar",
-                    trials=1,
-                )
-        return value
-
     def run_trials(
         self,
         ctx: TrialContext,
         rngs: Sequence[np.random.Generator],
-        batch: bool = True,
         chunk_trials: int = CHUNK_TRIALS,
     ) -> list:
         """Every trial's final value, in generator order.
 
-        With ``batch=True`` (and a fully batch-capable stage list) the
-        generators stream through the batch kernels in bounded chunks;
-        otherwise each runs the scalar walk. Outcomes are bitwise
-        identical either way — the stage contract, checked by the
-        differential suites.
+        The generators stream through the stage kernels in chunks of
+        at most ``chunk_trials``; ``chunk_trials=1`` runs one trial
+        per pass. Outcomes are bitwise identical for every chunk size.
+        With a :mod:`repro.obs` tracer active, each stage call is
+        recorded as a span tagged ``mode="batch"`` and the chunk's
+        ``trials``.
         """
         rngs = list(rngs)
         if not rngs:
@@ -307,22 +214,20 @@ class TrialPipeline:
             raise ExperimentError(
                 f"chunk_trials must be >= 1, got {chunk_trials}"
             )
-        if not (batch and self.batch_support()):
-            return [self.run_scalar(ctx, rng) for rng in rngs]
         out: list = []
         for start in range(0, len(rngs), chunk_trials):
             chunk = rngs[start : start + chunk_trials]
-            out.extend(self._run_batch_chunk(ctx, chunk))
+            out.extend(self._run_chunk(ctx, chunk))
         return out
 
-    def _run_batch_chunk(
+    def _run_chunk(
         self, ctx: TrialContext, rngs: list[np.random.Generator]
     ) -> list:
         tracer = current_tracer()
         value: Any = None
         for stage in self.stages:
             started = time.perf_counter() if tracer is not None else 0.0
-            value = stage.batch(ctx, value, rngs)
+            value = stage.kernel(ctx, value, rngs)
             if tracer is not None:
                 tracer.record(
                     stage.name,
@@ -335,7 +240,7 @@ class TrialPipeline:
 
 
 def _per_trial_values(value: Any, n_trials: int) -> list:
-    """Normalise a batch chunk's final value to one entry per trial."""
+    """Normalise a chunk's final value to one entry per trial."""
     if isinstance(value, list):
         rows = value
     elif isinstance(value, SignalBatch):
@@ -344,56 +249,62 @@ def _per_trial_values(value: Any, n_trials: int) -> list:
         rows = list(value)
     else:
         raise ExperimentError(
-            "the final batch stage must produce a list, a SignalBatch "
+            "the final stage must produce a list, a SignalBatch "
             f"or a 2-D array, got {type(value).__qualname__}"
         )
     if len(rows) != n_trials:
         raise ExperimentError(
-            f"final batch stage produced {len(rows)} rows for "
+            f"final stage produced {len(rows)} rows for "
             f"{n_trials} trials"
         )
     return rows
+
+
+def _map_rows(
+    method: Callable[[Signal, np.random.Generator], Any],
+    value: Signal | SignalBatch,
+    rngs: Sequence[np.random.Generator],
+) -> list:
+    """The per-row adapter: ``method(row, rng)`` for each trial.
+
+    Row ``i`` of the chunk (or the shared waveform, while the chunk is
+    still one trial-invariant signal) goes through ``method`` with
+    ``rngs[i]``, in row order — the call one trial alone makes. Stages
+    use it where a subclassed model's overridden per-trial method
+    would be bypassed by a stacked kernel.
+    """
+    if isinstance(value, SignalBatch):
+        rows = value.signals()
+    else:
+        rows = [value] * len(rngs)
+    return [method(row, rng) for row, rng in zip(rows, rngs)]
 
 
 # ----------------------------------------------------------------------
 # Stage builders
 # ----------------------------------------------------------------------
 
-def transmit_stage(scenario: Scenario) -> Stage:
+def transmit_stage() -> Stage:
     """Inject the precomputed transmission into the trial flow.
 
     The expensive work — propagating the attack emission (direct wave
     plus any room reflections) and the interference bed to the victim
     — is trial-invariant and happens once per group in the pipeline's
     precompute step (:meth:`TrialPipeline.context`); this stage merely
-    hands each trial the shared arrived waveform. Subclassed scenarios
-    refuse the batched path here: their overridden channel/draw
-    semantics are exactly what the stacked kernels would bypass.
+    hands the chunk the shared arrived waveform.
     """
-    support = BatchSupport.ok()
-    if type(scenario) is not Scenario:
-        support = BatchSupport.refused(
-            f"scenario is a {type(scenario).__qualname__}, not the "
-            "stock Scenario; its overridden semantics would be "
-            "bypassed by the batched chain"
-        )
-    return Stage(
-        name="transmit",
-        scalar=lambda ctx, value, rng: ctx.clean_attack,
-        batch=lambda ctx, value, rngs: ctx.clean_attack,
-        support=support,
-    )
+    return Stage("transmit", lambda ctx, value, rngs: ctx.clean_attack)
 
 
 def _gain_rows(
     value: Signal | SignalBatch, gains: Sequence[float | None]
 ) -> Signal | SignalBatch:
-    """Apply per-trial amplitude gains, matching scalar math bitwise.
+    """Apply per-trial amplitude gains, row by row.
 
     ``None`` gains leave the shared waveform untouched (static
     scenarios never multiply); when any trial scales, the chunk is
-    stacked with row ``i`` equal to the scalar trial's
-    ``Signal.__mul__`` result.
+    stacked with row ``i`` equal to that trial's ``Signal.__mul__``
+    result.
     """
     if all(gain is None for gain in gains):
         return value
@@ -420,20 +331,16 @@ def motion_stage(scenario: Scenario) -> Stage:
     Always present in the canonical stage list; for static scenarios
     :meth:`~repro.sim.scenario.Scenario.trial_gain` returns ``None``
     and — crucially — consumes no random draw, so the stage is free
-    and stream-invisible exactly where the old scalar loop was.
+    and stream-invisible.
     """
 
-    def scalar(ctx, value, rng):
-        gain = scenario.trial_gain(rng)
-        return value if gain is None else value * gain
-
-    def batch(ctx, value, rngs):
-        # One draw per generator, in row order — exactly where each
-        # scalar trial draws it.
+    def kernel(ctx, value, rngs):
+        # One draw per generator, in row order, before the stacked
+        # multiply.
         gains = [scenario.trial_gain(rng) for rng in rngs]
         return _gain_rows(value, gains)
 
-    return Stage(name="motion-gain", scalar=scalar, batch=batch)
+    return Stage("motion-gain", kernel)
 
 
 def level_stage(
@@ -448,8 +355,7 @@ def level_stage(
     SPL each trial. Because propagation is linear, the level is
     equivalent to a gain of ``10^((spl - reference)/20)`` on a
     transmission rendered once at ``reference_spl`` — the same
-    mechanism as the walking attacker's motion gain, which is what
-    lets labelled-recording synthesis share the batched path.
+    mechanism as the walking attacker's motion gain.
     ``capture`` (when given) receives each drawn SPL in trial order,
     for per-row metadata.
     """
@@ -465,29 +371,22 @@ def level_stage(
             capture.append(spl)
         return spl_to_pressure(spl) / reference_pressure
 
-    def scalar(ctx, value, rng):
-        return value * draw(rng)
-
-    def batch(ctx, value, rngs):
+    def kernel(ctx, value, rngs):
         return _gain_rows(value, [draw(rng) for rng in rngs])
 
-    return Stage(name="talker-level", scalar=scalar, batch=batch)
+    return Stage("talker-level", kernel)
 
 
 def interference_stage() -> Stage:
     """Sum the precomputed interference bed at the diaphragm.
 
-    Scalar trials use :meth:`Signal.__add__` (zero-pad to the longer
-    waveform, add); the batch kernel performs the identical
-    pad-and-add on the stacked rows, so row ``i`` matches the scalar
-    trial bitwise. A chunk that is still a shared waveform (static
-    scenario) stays shared — the bed is trial-invariant too.
+    The same zero-pad-to-the-longer-waveform add as
+    :meth:`Signal.__add__`, on every stacked row. A chunk that is
+    still a shared waveform (static scenario) stays shared — the bed
+    is trial-invariant too.
     """
 
-    def scalar(ctx, value, rng):
-        return value + ctx.clean_interference
-
-    def batch(ctx, value, rngs):
+    def kernel(ctx, value, rngs):
         if isinstance(value, Signal):
             return value + ctx.clean_interference
         bed = ctx.clean_interference
@@ -499,16 +398,27 @@ def interference_stage() -> Stage:
         np.add(padded, bed_padded[np.newaxis, :], out=padded)
         return SignalBatch.adopt(padded, value.sample_rate, value.unit)
 
-    return Stage(name="interference", scalar=scalar, batch=batch)
+    return Stage("interference", kernel)
 
 
 def ambient_stage(channel: AcousticChannel) -> Stage:
-    """Add each trial's ambient-noise draw at the receiver."""
+    """Add each trial's ambient-noise draw at the receiver.
+
+    The stock channel stacks the draws (:meth:`AcousticChannel.ambient_batch`);
+    a subclassed channel gets its overridden
+    :meth:`~AcousticChannel.add_ambient` once per row.
+    """
+    if type(channel) is AcousticChannel:
+        return Stage(
+            "ambient",
+            lambda ctx, value, rngs: channel.ambient_batch(
+                value, list(rngs)
+            ),
+        )
     return Stage(
-        name="ambient",
-        scalar=lambda ctx, value, rng: channel.add_ambient(value, rng),
-        batch=lambda ctx, value, rngs: channel.ambient_batch(
-            value, list(rngs)
+        "ambient",
+        lambda ctx, value, rngs: SignalBatch.from_signals(
+            _map_rows(channel.add_ambient, value, rngs)
         ),
     )
 
@@ -516,58 +426,37 @@ def ambient_stage(channel: AcousticChannel) -> Stage:
 def record_stages(microphone: Microphone) -> list[Stage]:
     """The microphone chain as pipeline stages.
 
-    For the stock :class:`~repro.hardware.microphone.Microphone` the
-    chain splits into its two halves — ``microphone`` (front-end,
-    nonlinearity, anti-alias, self-noise) and ``adc`` (resample, clip,
-    quantise) — each with a scalar and a batch kernel. A subclassed
-    microphone collapses to a single ``record`` stage that calls the
-    (possibly overridden) :meth:`record` and refuses the batched path,
-    so custom hardware models keep their semantics on the scalar walk.
-    A subclassed nonlinearity keeps the split (both modes call its
-    ``apply_array``) but refuses batching conservatively, as the old
-    kernel did.
+    For the stock :class:`~repro.hardware.microphone.Microphone` with
+    the stock nonlinearity the chain splits into its two halves —
+    ``microphone`` (front-end, nonlinearity, anti-alias, self-noise)
+    and ``adc`` (resample, clip, quantise) — each a stacked kernel.
+    A subclassed microphone or nonlinearity collapses to a single
+    ``record`` stage that calls the (possibly overridden)
+    :meth:`~repro.hardware.microphone.Microphone.record` once per row.
     """
-    if type(microphone) is not Microphone:
+    if (
+        type(microphone) is not Microphone
+        or type(microphone.config.nonlinearity)
+        is not PolynomialNonlinearity
+    ):
         return [
             Stage(
-                name="record",
-                scalar=lambda ctx, value, rng: microphone.record(
-                    value, rng
-                ),
-                support=BatchSupport.refused(
-                    f"microphone is a "
-                    f"{type(microphone).__qualname__}, not the stock "
-                    "Microphone; its overridden record() would be "
-                    "bypassed by the batched chain"
+                "record",
+                lambda ctx, value, rngs: SignalBatch.from_signals(
+                    _map_rows(microphone.record, value, rngs)
                 ),
             )
         ]
-    support = BatchSupport.ok()
-    nonlinearity = microphone.config.nonlinearity
-    if type(nonlinearity) is not PolynomialNonlinearity:
-        support = BatchSupport.refused(
-            "nonlinearity is a "
-            f"{type(nonlinearity).__qualname__}, not the stock "
-            "PolynomialNonlinearity; its overridden transfer would be "
-            "bypassed by the batched chain"
-        )
     return [
         Stage(
-            name="microphone",
-            scalar=lambda ctx, value, rng: microphone.record_analog(
-                value, rng
-            ),
-            batch=lambda ctx, value, rngs: microphone.record_analog_batch(
+            "microphone",
+            lambda ctx, value, rngs: microphone.record_analog_batch(
                 value, list(rngs)
             ),
-            support=support,
         ),
         Stage(
-            name="adc",
-            scalar=lambda ctx, value, rng: microphone.digitize(value),
-            batch=lambda ctx, value, rngs: microphone.digitize_batch(
-                value
-            ),
+            "adc",
+            lambda ctx, value, rngs: microphone.digitize_batch(value),
         ),
     ]
 
@@ -577,10 +466,15 @@ def recognize_stage(
 ) -> Stage:
     """Run the recogniser and fold the verdict into a TrialOutcome.
 
-    With ``keep_recordings=False`` the fold leaves ``recording`` as
-    ``None``, so each chunk's device-rate stack is freed as soon as
-    the chunk is recognised instead of living until the task ends.
+    The stock recogniser scores the whole chunk through one stacked
+    anti-diagonal DTW sweep; a subclassed one gets its overridden
+    :meth:`~repro.speech.recognizer.KeywordRecognizer.recognize` once
+    per row. With ``keep_recordings=False`` the fold leaves
+    ``recording`` as ``None``, so each chunk's device-rate stack is
+    freed as soon as the chunk is recognised instead of living until
+    the task ends.
     """
+    recognizer = device.recognizer
 
     def fold(result, recording: Signal) -> TrialOutcome:
         return TrialOutcome(
@@ -592,27 +486,18 @@ def recognize_stage(
             recording=recording if keep_recordings else None,
         )
 
-    def outcome(recording: Signal) -> TrialOutcome:
-        return fold(device.recognizer.recognize(recording), recording)
-
-    def batch(ctx, recordings: SignalBatch, rngs):
+    def kernel(ctx, recordings: SignalBatch, rngs):
+        if type(recognizer) is not KeywordRecognizer:
+            return _map_rows(
+                lambda row, rng: fold(recognizer.recognize(row), row),
+                recordings,
+                rngs,
+            )
         rows = recordings.signals()
-        if type(device.recognizer) is KeywordRecognizer:
-            # The whole chunk scores through one stacked anti-diagonal
-            # DTW sweep (bitwise identical to per-row recognize); a
-            # subclassed recogniser keeps its overridden recognize()
-            # on the per-row walk below.
-            results = device.recognizer.recognize_batch(rows)
-            return [
-                fold(result, row) for result, row in zip(results, rows)
-            ]
-        return [outcome(row) for row in rows]
+        results = recognizer.recognize_batch(rows)
+        return [fold(result, row) for result, row in zip(results, rows)]
 
-    return Stage(
-        name="recognize",
-        scalar=lambda ctx, value, rng: outcome(value),
-        batch=batch,
-    )
+    return Stage("recognize", kernel)
 
 
 # ----------------------------------------------------------------------
@@ -630,8 +515,8 @@ def build_pipeline(
     """Assemble the trial pipeline for a (scenario, device) pair.
 
     This is the *single* statement of the per-trial stage order; the
-    scalar runner, the batched kernel and the engine worker all
-    execute the list it returns.
+    engine worker and the defense dataset build both execute the list
+    it returns.
 
     Parameters
     ----------
@@ -650,7 +535,7 @@ def build_pipeline(
         Optional extra per-trial gain inserted after ``transmit`` —
         the defense dataset's talker-level draw
         (:func:`level_stage`). Its draw happens *before* the motion
-        gain's, a fixed order both execution modes share.
+        gain's.
     invariants:
         Optional shared :class:`~repro.sim.cache.EmissionCache` for
         the trial-invariant precompute. Passing one cache to several
@@ -683,7 +568,7 @@ def build_pipeline(
                 f"{device.recognizer.commands}"
             )
     channel = scenario.channel()
-    stages: list[Stage] = [transmit_stage(scenario)]
+    stages: list[Stage] = [transmit_stage()]
     if gain_stage is not None:
         stages.append(gain_stage)
     stages.append(motion_stage(scenario))
@@ -711,8 +596,7 @@ def build_pipeline(
             rate = clean_attack.sample_rate
             # The bed is deterministic and trial-invariant; transmit
             # it once per physical identity, bounded, instead of once
-            # per trial (or unboundedly per rate, as the old runner
-            # dict did). The key carries everything the arrived bed
+            # per trial. The key carries everything the arrived bed
             # depends on, so a cache shared across pipelines (dataset
             # cells differing only in command or class) never
             # collides and never re-transmits.

@@ -1,4 +1,4 @@
-"""Parameter sweeps built on the runner.
+"""Parameter sweeps built on the experiment engine.
 
 All sweeps reuse one emission across trial repetitions and distances —
 the attack waveform does not depend on where the victim stands — which
@@ -21,7 +21,6 @@ import numpy as np
 from repro.acoustics.channel import PlacedSource
 from repro.errors import ExperimentError
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.sim.spec import get_scenario
 
@@ -31,7 +30,8 @@ def _engine(engine: ExperimentEngine | None) -> ExperimentEngine:
 
 
 def success_rate(
-    runner: ScenarioRunner,
+    scenario: Scenario,
+    device: VictimDevice,
     sources: list[PlacedSource] | EmissionSpec,
     n_trials: int,
     rng: np.random.Generator,
@@ -39,7 +39,7 @@ def success_rate(
 ) -> float:
     """Fraction of successful trials for fixed emissions."""
     return _engine(engine).success_rate(
-        runner.scenario, runner.device, sources, n_trials, rng
+        scenario, device, sources, n_trials, rng
     )
 
 

@@ -220,32 +220,7 @@ class KeywordRecognizer:
         for row in canonical:
             signal = recordings[0].replace(samples=row, sample_rate=rate)
             features.append(self._extractor.extract(trim_silence(signal)))
-        pairs = []
-        for trial_features in features:
-            for templates in self._templates.values():
-                for template in templates:
-                    pairs.append((trial_features, template))
-        distances_flat = self._dtw_distance_batch(pairs)
-        results = []
-        index = 0
-        for _ in features:
-            distances = {}
-            for command, templates in self._templates.items():
-                distances[command] = min(
-                    distances_flat[index : index + len(templates)]
-                )
-                index += len(templates)
-            best_command = min(distances, key=distances.get)
-            best_distance = distances[best_command]
-            results.append(
-                RecognitionResult(
-                    accepted=best_distance <= self.acceptance_threshold,
-                    command=best_command,
-                    distance=best_distance,
-                    distances=distances,
-                )
-            )
-        return results
+        return self._match_features(features)
 
     def recognize_many(
         self, recordings: list[Signal], max_pairs: int = 2048
@@ -278,31 +253,9 @@ class KeywordRecognizer:
         features = [self._featurize(r) for r in recordings]
         results: list[RecognitionResult] = []
         for lo in range(0, len(features), per_slab):
-            chunk = features[lo : lo + per_slab]
-            pairs = []
-            for trial_features in chunk:
-                for templates in self._templates.values():
-                    for template in templates:
-                        pairs.append((trial_features, template))
-            distances_flat = self._dtw_distance_batch(pairs)
-            index = 0
-            for _ in chunk:
-                distances = {}
-                for command, templates in self._templates.items():
-                    distances[command] = min(
-                        distances_flat[index : index + len(templates)]
-                    )
-                    index += len(templates)
-                best_command = min(distances, key=distances.get)
-                best_distance = distances[best_command]
-                results.append(
-                    RecognitionResult(
-                        accepted=best_distance <= self.acceptance_threshold,
-                        command=best_command,
-                        distance=best_distance,
-                        distances=distances,
-                    )
-                )
+            results.extend(
+                self._match_features(features[lo : lo + per_slab])
+            )
         return results
 
     def recognizes_as(self, recording: Signal, command: str) -> bool:
@@ -324,6 +277,43 @@ class KeywordRecognizer:
         canonical = resample(recording, self.CANONICAL_RATE_HZ)
         trimmed = trim_silence(canonical)
         return self._extractor.extract(trimmed)
+
+    def _match_features(
+        self, features: list[np.ndarray]
+    ) -> list[RecognitionResult]:
+        """Score featurised recordings against every template at once.
+
+        One batched DTW over every (recording, template) pair, folded
+        back into one :class:`RecognitionResult` per recording: the
+        per-command distance is the minimum over that command's
+        templates, the best command the minimum over commands.
+        """
+        pairs = []
+        for trial_features in features:
+            for templates in self._templates.values():
+                for template in templates:
+                    pairs.append((trial_features, template))
+        distances_flat = self._dtw_distance_batch(pairs)
+        results = []
+        index = 0
+        for _ in features:
+            distances = {}
+            for command, templates in self._templates.items():
+                distances[command] = min(
+                    distances_flat[index : index + len(templates)]
+                )
+                index += len(templates)
+            best_command = min(distances, key=distances.get)
+            best_distance = distances[best_command]
+            results.append(
+                RecognitionResult(
+                    accepted=best_distance <= self.acceptance_threshold,
+                    command=best_command,
+                    distance=best_distance,
+                    distances=distances,
+                )
+            )
+        return results
 
     def _dtw_distance_batch(
         self, pairs: list[tuple[np.ndarray, np.ndarray]]

@@ -10,7 +10,7 @@ from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
 from repro.acoustics.room import ImageSourceRoomModel
 from repro.acoustics.spl import pressure_to_spl
-from repro.dsp.signals import Unit, mix, tone
+from repro.dsp.signals import SignalBatch, Unit, mix, tone
 from repro.dsp.spectrum import band_power
 from repro.errors import GeometryError, SignalDomainError
 
@@ -240,3 +240,32 @@ class TestBatchedTransmission:
         )
         with pytest.raises(SignalDomainError, match="generator"):
             channel.ambient_batch(clean, [None])
+
+
+class TestAmbientBatch:
+    """``ambient_batch`` rows against ``add_ambient``, row by row."""
+
+    @pytest.mark.parametrize("noise_spl", [40.0, None])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rows_bitwise_equal_add_ambient(self, noise_spl, stacked):
+        channel = AcousticChannel(ambient_noise_spl=noise_spl)
+        clean = channel.transmit(
+            [_source(1000.0, Position(0.0, 0.0, 0.0))],
+            Position(1.0, 0.0, 0.0),
+        )
+        if stacked:
+            # The moving-attacker case: one scaled copy per trial.
+            rows = [clean * gain for gain in (0.5, 1.0, 2.0)]
+            chunk = SignalBatch.from_signals(rows)
+        else:
+            # The static case: every trial hears the shared wave.
+            rows = [clean] * 3
+            chunk = clean
+        batch = channel.ambient_batch(
+            chunk, [np.random.default_rng(k) for k in range(3)]
+        )
+        assert batch.n_signals == 3
+        for k, row in enumerate(rows):
+            alone = channel.add_ambient(row, np.random.default_rng(k))
+            assert batch.unit == alone.unit
+            assert np.array_equal(batch.samples[k], alone.samples)

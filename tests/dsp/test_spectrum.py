@@ -5,7 +5,6 @@ import pytest
 
 from repro.dsp.signals import multi_tone, tone, white_noise
 from repro.dsp.spectrum import (
-    band_power,
     band_rms,
     dominant_frequency,
     power_spectrum,

@@ -205,15 +205,38 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert peak - before <= 3 * samples.nbytes
 
-    def test_batch_rows_match_scalar_record_analog(self):
-        microphone = amazon_echo_microphone()
+    @pytest.mark.parametrize(
+        "factory", [android_phone_microphone, amazon_echo_microphone]
+    )
+    @pytest.mark.parametrize("entry", ["record_analog", "digitize", "record"])
+    def test_batch_rows_match_scalar_record_analog(self, factory, entry):
+        """Row ``k`` of each stacked entry point is bitwise the
+        one-signal call on row ``k`` with generator ``k``: the analog
+        half, the ADC half and the whole chain."""
+        microphone = factory()
         samples = np.random.default_rng(1).normal(0.0, 0.5, (3, 4800))
         pressure = SignalBatch(samples, RATE, Unit.PASCAL)
-        batch = microphone.record_analog_batch(
-            pressure, [np.random.default_rng(k) for k in range(3)]
-        )
-        for k in range(3):
-            scalar = microphone.record_analog(
-                pressure.row(k), np.random.default_rng(k)
-            )
-            assert np.array_equal(batch.samples[k], scalar.samples)
+
+        def rngs():
+            return [np.random.default_rng(k) for k in range(3)]
+
+        if entry == "record_analog":
+            batch = microphone.record_analog_batch(pressure, rngs())
+            rows = [
+                microphone.record_analog(pressure.row(k), rng)
+                for k, rng in enumerate(rngs())
+            ]
+        elif entry == "digitize":
+            analog = microphone.record_analog_batch(pressure, rngs())
+            batch = microphone.digitize_batch(analog)
+            rows = [microphone.digitize(analog.row(k)) for k in range(3)]
+        else:
+            batch = microphone.record_batch(pressure, rngs())
+            rows = [
+                microphone.record(pressure.row(k), rng)
+                for k, rng in enumerate(rngs())
+            ]
+        for k, row in enumerate(rows):
+            assert batch.sample_rate == row.sample_rate
+            assert batch.unit == row.unit
+            assert np.array_equal(batch.samples[k], row.samples)

@@ -1,24 +1,31 @@
-"""Unit and equivalence tests for the vectorized batch trial kernel.
+"""Unit and equivalence tests for the stacked trial executor.
 
-The contract under test is strict: the batched pipeline must be
-*bitwise* identical to the scalar per-trial loop — same successes,
-same DTW distances, same recorded waveforms — for every supported
-group, and must fall back to the scalar path (rather than silently
-diverge) for hardware models it cannot prove equivalent.
+The contract under test is strict: the pipeline's chunked executor
+must be *bitwise* identical to the per-trial reference
+(:func:`differential.reference_trials`, one-signal primitives only) —
+same successes, same DTW distances, same recorded waveforms — at every
+chunk size, and subclassed hardware, channel and recogniser models
+must keep their overridden per-trial behaviour through the per-row
+adapter stages.
 """
+
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
+from differential import outcomes_identical, reference_trials
+from repro.acoustics.channel import AcousticChannel
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import ExperimentError, SignalDomainError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments._emissions import ATTACKER_POSITION, single_full
 from repro.hardware.microphone import Microphone
-from repro.sim.batch import run_group_batch, supports_batch
+from repro.hardware.nonlinearity import PolynomialNonlinearity
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
-from repro.sim.runner import ScenarioRunner
+from repro.sim.pipeline import CHUNK_TRIALS, build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
+from repro.speech.recognizer import KeywordRecognizer
 
 
 @pytest.fixture(scope="module")
@@ -40,25 +47,19 @@ def emission_spec():
     return EmissionSpec(single_full, ("ok_google", 5))
 
 
-def outcomes_identical(a, b, compare_recordings=True) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (
-            x.success != y.success
-            or x.recognized_command != y.recognized_command
-            or x.accepted != y.accepted
-            or x.distance != y.distance
-        ):
-            return False
-        if compare_recordings:
-            if (x.recording is None) != (y.recording is None):
-                return False
-            if x.recording is not None and not np.array_equal(
-                x.recording.samples, y.recording.samples
-            ):
-                return False
-    return True
+def run_group(group, rngs, keep_recordings=True, chunk_trials=CHUNK_TRIALS):
+    """One group's trials through its pipeline, as the engine worker runs them."""
+    pipeline = build_pipeline(
+        group.scenario, group.device, keep_recordings=keep_recordings
+    )
+    ctx = pipeline.context(group.resolve_sources())
+    return pipeline.run_trials(ctx, rngs, chunk_trials=chunk_trials)
+
+
+def reference_group(group, rngs):
+    return reference_trials(
+        group.scenario, group.device, group.resolve_sources(), rngs
+    )
 
 
 class TestSignalBatch:
@@ -108,37 +109,31 @@ class TestKernelEquivalence:
     @pytest.fixture(scope="class")
     def pair(self, scenario, phone_device, emission_spec):
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
-        runner = ScenarioRunner(scenario, phone_device)
-        sources = group.resolve_sources()
-        scalar = [
-            runner.run_trial(sources, rng)
-            for rng in np.random.default_rng(5).spawn(3)
-        ]
-        batched = run_group_batch(
+        reference = reference_group(
             group, np.random.default_rng(5).spawn(3)
         )
-        return scalar, batched
+        batched = run_group(group, np.random.default_rng(5).spawn(3))
+        return reference, batched
 
     def test_outcomes_bitwise_identical(self, pair):
-        scalar, batched = pair
-        assert outcomes_identical(scalar, batched)
+        reference, batched = pair
+        assert outcomes_identical(reference, batched)
 
-    def test_batch_of_one_is_exactly_scalar(
+    def test_batch_of_one_is_exactly_the_reference(
         self, scenario, phone_device, emission_spec
     ):
         group = TrialGroup(scenario, phone_device, emission_spec, 1)
-        runner = ScenarioRunner(scenario, phone_device)
         (rng_a,) = np.random.default_rng(11).spawn(1)
         (rng_b,) = np.random.default_rng(11).spawn(1)
-        scalar = runner.run_trial(group.resolve_sources(), rng_a)
-        (batched,) = run_group_batch(group, [rng_b])
-        assert outcomes_identical([scalar], [batched])
+        (reference,) = reference_group(group, [rng_a])
+        (batched,) = run_group(group, [rng_b], chunk_trials=1)
+        assert outcomes_identical([reference], [batched])
 
     def test_keep_recordings_false_strips_only_waveforms(
         self, scenario, phone_device, emission_spec, pair
     ):
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
-        stripped = run_group_batch(
+        stripped = run_group(
             group,
             np.random.default_rng(5).spawn(3),
             keep_recordings=False,
@@ -153,116 +148,184 @@ class TestKernelEquivalence:
     ):
         group = TrialGroup(scenario, phone_device, emission_spec, 1)
         with pytest.raises(ExperimentError):
-            run_group_batch(group, [])
+            run_group(group, [])
 
 
-class _TracingMicrophone(Microphone):
-    """A microphone subclass the kernel must refuse to vectorize."""
+class _CountingMicrophone(Microphone):
+    """A microphone subclass that counts its ``record`` calls."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = 0
+
+    def record(self, pressure, rng=None):
+        self.calls += 1
+        return super().record(pressure, rng)
 
 
-class TestFallback:
-    def test_standard_group_supported(
-        self, scenario, phone_device, emission_spec
-    ):
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.supported is True
-        assert support.reason is None
+class _CountingNonlinearity(PolynomialNonlinearity):
+    """A nonlinearity subclass that counts its transfer calls."""
 
-    def test_subclassed_microphone_unsupported(
-        self, scenario, phone_device, emission_spec
-    ):
-        device = VictimDevice(
-            name="custom",
-            microphone=_TracingMicrophone(
-                phone_device.microphone.config
-            ),
-            recognizer=phone_device.recognizer,
+    calls: list = []
+
+    def apply_array(self, x):
+        self.calls.append(np.shape(x))
+        return super().apply_array(x)
+
+
+class _CountingChannel(AcousticChannel):
+    """A channel subclass that counts its ambient draws."""
+
+    calls: list = []
+
+    def add_ambient(self, total, rng):
+        self.calls.append(total.n_samples)
+        return super().add_ambient(total, rng)
+
+
+class _CountingChannelScenario(Scenario):
+    """A scenario whose channel is the counting subclass."""
+
+    def channel(self):
+        stock = super().channel()
+        return _CountingChannel(
+            room=stock.room,
+            propagation=stock.propagation,
+            ambient_noise_spl=stock.ambient_noise_spl,
         )
-        group = TrialGroup(scenario, device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TracingMicrophone" in support.reason
-        assert "stock Microphone" in support.reason
 
-    def test_subclassed_nonlinearity_reported_with_reason(
+
+class _TaggedScenario(Scenario):
+    """A scenario subclass that keeps the stock channel."""
+
+
+class _CountingRecognizer(KeywordRecognizer):
+    """A recogniser subclass that counts its ``recognize`` calls."""
+
+    calls = 0
+
+    def recognize(self, recording):
+        type(self).calls += 1
+        return super().recognize(recording)
+
+
+def _device(phone_device, microphone=None, recognizer=None):
+    return VictimDevice(
+        name="custom",
+        microphone=microphone or phone_device.microphone,
+        recognizer=recognizer or phone_device.recognizer,
+    )
+
+
+class TestSubclassAdapters:
+    """Overridden per-trial methods run once per trial, bitwise."""
+
+    N_TRIALS = 3
+
+    def _check(self, group, chunk_trials=2):
+        """Pipeline == reference; returns the pipeline's outcomes."""
+        rngs = np.random.default_rng(9).spawn(self.N_TRIALS)
+        reference = reference_group(
+            group, np.random.default_rng(9).spawn(self.N_TRIALS)
+        )
+        outcomes = run_group(group, rngs, chunk_trials=chunk_trials)
+        assert outcomes_identical(reference, outcomes)
+        return outcomes
+
+    def test_stock_group_takes_the_stacked_stages(
+        self, scenario, phone_device
+    ):
+        names = build_pipeline(scenario, phone_device).stage_names()
+        assert "microphone" in names and "adc" in names
+        assert "record" not in names
+
+    def test_subclassed_microphone_records_once_per_trial(
         self, scenario, phone_device, emission_spec
     ):
-        from dataclasses import replace as dc_replace
+        microphone = _CountingMicrophone(phone_device.microphone.config)
+        device = _device(phone_device, microphone=microphone)
+        group = TrialGroup(scenario, device, emission_spec, self.N_TRIALS)
+        assert "record" in build_pipeline(scenario, device).stage_names()
+        rngs = np.random.default_rng(9).spawn(self.N_TRIALS)
+        outcomes = run_group(group, rngs, chunk_trials=2)
+        assert microphone.calls == self.N_TRIALS
+        assert outcomes_identical(
+            reference_group(
+                group, np.random.default_rng(9).spawn(self.N_TRIALS)
+            ),
+            outcomes,
+        )
 
-        from repro.hardware.nonlinearity import PolynomialNonlinearity
-
-        class _TaggedNonlinearity(PolynomialNonlinearity):
-            pass
-
+    def test_subclassed_nonlinearity_runs_once_per_trial(
+        self, scenario, phone_device, emission_spec
+    ):
         config = dc_replace(
             phone_device.microphone.config,
-            nonlinearity=_TaggedNonlinearity((1.0, 0.05, 0.005)),
+            nonlinearity=_CountingNonlinearity((1.0, 0.05, 0.005)),
         )
-        device = VictimDevice(
-            name="custom",
-            microphone=Microphone(config),
-            recognizer=phone_device.recognizer,
+        device = _device(phone_device, microphone=Microphone(config))
+        group = TrialGroup(scenario, device, emission_spec, self.N_TRIALS)
+        assert "record" in build_pipeline(scenario, device).stage_names()
+        _CountingNonlinearity.calls.clear()
+        run_group(
+            group, np.random.default_rng(9).spawn(self.N_TRIALS)
         )
-        group = TrialGroup(scenario, device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TaggedNonlinearity" in support.reason
+        # One one-dimensional transfer per trial: the override saw
+        # single waveforms, never a stacked chunk.
+        assert len(_CountingNonlinearity.calls) == self.N_TRIALS
+        assert all(len(shape) == 1 for shape in _CountingNonlinearity.calls)
+        self._check(group)
 
-    def test_subclassed_scenario_reported_with_reason(
+    def test_subclassed_channel_adds_ambient_once_per_trial(
         self, scenario, phone_device, emission_spec
     ):
-        class _TaggedScenario(Scenario):
-            pass
+        custom = _CountingChannelScenario(
+            command=scenario.command,
+            attacker_position=scenario.attacker_position,
+            victim_position=scenario.victim_position,
+        )
+        group = TrialGroup(custom, phone_device, emission_spec, self.N_TRIALS)
+        _CountingChannel.calls.clear()
+        run_group(
+            group, np.random.default_rng(9).spawn(self.N_TRIALS)
+        )
+        assert len(_CountingChannel.calls) == self.N_TRIALS
+        self._check(group)
 
+    def test_subclassed_scenario_with_stock_channel(
+        self, scenario, phone_device, emission_spec
+    ):
         tagged = _TaggedScenario(
             command=scenario.command,
             attacker_position=scenario.attacker_position,
             victim_position=scenario.victim_position,
         )
-        group = TrialGroup(tagged, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TaggedScenario" in support.reason
-
-    def test_room_scenario_accepted(
-        self, phone_device, emission_spec
-    ):
-        from repro.sim.spec import get_scenario
-
-        room_scenario = get_scenario("living_room").build(
-            "ok_google", 2.0
+        group = TrialGroup(tagged, phone_device, emission_spec, self.N_TRIALS)
+        assert (
+            build_pipeline(tagged, phone_device).stage_names()
+            == build_pipeline(scenario, phone_device).stage_names()
         )
-        group = TrialGroup(room_scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
+        self._check(group)
 
-    def test_direct_kernel_call_refuses_unsupported_group(
+    def test_subclassed_recognizer_recognizes_once_per_trial(
         self, scenario, phone_device, emission_spec
     ):
-        device = VictimDevice(
-            name="custom",
-            microphone=_TracingMicrophone(
-                phone_device.microphone.config
-            ),
-            recognizer=phone_device.recognizer,
+        recognizer = _CountingRecognizer()
+        recognizer.__dict__.update(phone_device.recognizer.__dict__)
+        device = _device(phone_device, recognizer=recognizer)
+        group = TrialGroup(scenario, device, emission_spec, self.N_TRIALS)
+        _CountingRecognizer.calls = 0
+        run_group(
+            group, np.random.default_rng(9).spawn(self.N_TRIALS)
         )
-        group = TrialGroup(scenario, device, emission_spec, 1)
-        with pytest.raises(ExperimentError, match="equivalence"):
-            run_group_batch(group, np.random.default_rng(0).spawn(1))
+        assert _CountingRecognizer.calls == self.N_TRIALS
+        self._check(group)
 
-    def test_engine_falls_back_to_identical_scalar_results(
+    def test_engine_chunk_sizes_agree_on_a_subclassed_microphone(
         self, scenario, phone_device, emission_spec
     ):
-        device = VictimDevice(
-            name="custom",
-            microphone=_TracingMicrophone(
-                phone_device.microphone.config
-            ),
-            recognizer=phone_device.recognizer,
-        )
+        microphone = _CountingMicrophone(phone_device.microphone.config)
+        device = _device(phone_device, microphone=microphone)
         group = TrialGroup(scenario, device, emission_spec, 2)
 
         def run(batch):
@@ -272,6 +335,7 @@ class TestFallback:
                 )[0]
 
         assert outcomes_identical(run(True), run(False))
+        assert microphone.calls == 4
 
 
 class TestEngineBatchFlag:
@@ -297,10 +361,10 @@ class TestEngineBatchFlag:
 
 
 class TestAllExperimentsEquivalence:
-    """Satellite guarantee: batch on/off is invisible to every table."""
+    """Chunk size is invisible to every table: chunks of 16 == of 1."""
 
     @pytest.fixture(scope="class")
-    def scalar_tables(self):
+    def chunk_one_tables(self):
         with ExperimentEngine(jobs=1, batch=False) as engine:
             return {
                 name: module.run(quick=True, seed=0, engine=engine)
@@ -308,10 +372,10 @@ class TestAllExperimentsEquivalence:
             }
 
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-    def test_batch_and_scalar_render_identically(
-        self, name, experiment_tables, scalar_tables
+    def test_chunk_sizes_render_identically(
+        self, name, experiment_tables, chunk_one_tables
     ):
         assert (
             experiment_tables[name].render()
-            == scalar_tables[name].render()
+            == chunk_one_tables[name].render()
         )

@@ -7,18 +7,17 @@ Three groups of guarantees:
   microphone -> adc -> recognize), conditionally shaped by the
   scenario's data and the caller's options, and there is no second
   statement of that order anywhere;
-* **BatchSupport folding** — whether a pipeline may take the batched
-  path is the fold of its stages' verdicts: the first stage lacking a
-  batch kernel, or refusing at construction time, decides and its
-  reason survives to the caller;
+* **per-row adapters** — a subclassed microphone, nonlinearity or
+  channel gets a stage that calls its overridden per-trial method on
+  each row of a chunk, with that row's own generator;
 * **executor equivalence** — for *arbitrary* stage lists (hypothesis:
   random compositions of deterministic and draw-consuming stages) the
-  batched executor reproduces the scalar walk bitwise, at every trial
-  count and chunk size, because both fold the same stages.
+  chunked executor reproduces a row-at-a-time reference bitwise, at
+  every trial count and chunk size.
 
 The executor's stage spans (``mode``/``trials`` attributes, reduced
 by :func:`repro.obs.report.stage_rows`) and the batched recogniser's
-agreement with the scalar walk are pinned at the end.
+agreement with the per-trial reference are pinned at the end.
 """
 
 import numpy as np
@@ -26,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import reference_trials
+from repro.acoustics.channel import AcousticChannel
 from repro.errors import ExperimentError
 from repro.experiments._emissions import ATTACKER_POSITION, single_full
 from repro.hardware.microphone import Microphone
@@ -34,14 +35,13 @@ from repro.obs.trace import Tracer, activate
 from repro.sim.cache import EmissionCache
 from repro.sim.engine import EmissionSpec, TrialGroup
 from repro.sim.pipeline import (
-    BatchSupport,
+    CHUNK_TRIALS,
     Stage,
     TrialContext,
     TrialPipeline,
     build_pipeline,
     level_stage,
 )
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.sim.spec import get_scenario
 
@@ -109,7 +109,7 @@ class TestStageOrdering:
             build_pipeline(scenario, phone_device.microphone)
 
     def test_duplicate_stage_names_rejected(self):
-        stage = Stage(name="x", scalar=lambda ctx, v, rng: v)
+        stage = Stage("x", lambda ctx, v, rngs: v)
         with pytest.raises(ExperimentError, match="unique"):
             TrialPipeline([stage, stage])
 
@@ -118,39 +118,46 @@ class TestStageOrdering:
             TrialPipeline([])
 
 
-class TestBatchSupportFold:
-    def test_stock_pipeline_fully_batchable(self, phone_device):
+class _RecordingChannel(AcousticChannel):
+    """A channel subclass noting which generator each draw came from."""
+
+    seen: list = []
+
+    def add_ambient(self, total, rng):
+        self.seen.append(rng)
+        return super().add_ambient(total, rng)
+
+
+class _RecordingChannelScenario(Scenario):
+    def channel(self):
+        stock = super().channel()
+        return _RecordingChannel(
+            room=stock.room,
+            propagation=stock.propagation,
+            ambient_noise_spl=stock.ambient_noise_spl,
+        )
+
+
+def _custom_device(phone_device, microphone):
+    return VictimDevice(
+        name="custom",
+        microphone=microphone,
+        recognizer=phone_device.recognizer,
+    )
+
+
+class TestAdapterStages:
+    def test_stock_pipeline_has_no_adapter_stage(self, phone_device):
         scenario = get_scenario("living_room").build("ok_google", 2.0)
-        support = build_pipeline(scenario, phone_device).batch_support()
-        assert support
-        assert support.reason is None
+        names = build_pipeline(scenario, phone_device).stage_names()
+        assert "record" not in names
+        assert names[-3:] == ("microphone", "adc", "recognize")
 
-    def test_stage_without_batch_kernel_refuses_with_name(self):
-        stages = [
-            Stage(
-                name="ok",
-                scalar=lambda ctx, v, rng: 1.0,
-                batch=lambda ctx, v, rngs: [1.0] * len(rngs),
-            ),
-            Stage(name="scalar-only", scalar=lambda ctx, v, rng: v),
-        ]
-        support = TrialPipeline(stages).batch_support()
-        assert not support
-        assert "scalar-only" in support.reason
-        assert "no batch kernel" in support.reason
-
-    def test_first_refusal_wins(self):
-        stages = [
-            Stage(
-                name="refused-early",
-                scalar=lambda ctx, v, rng: v,
-                batch=lambda ctx, v, rngs: v,
-                support=BatchSupport.refused("early reason"),
-            ),
-            Stage(name="refused-late", scalar=lambda ctx, v, rng: v),
-        ]
-        support = TrialPipeline(stages).batch_support()
-        assert support.reason == "early reason"
+    def test_stage_carries_one_kernel(self):
+        stage = Stage("x", lambda ctx, v, rngs: v)
+        assert stage.kernel(None, 3.0, []) == 3.0
+        with pytest.raises(TypeError):
+            Stage("x", lambda ctx, v, rngs: v, lambda ctx, v, rng: v)
 
     def test_subclassed_microphone_collapses_to_record_stage(
         self, phone_device
@@ -159,59 +166,71 @@ class TestBatchSupportFold:
             pass
 
         scenario = get_scenario("free_field").build("ok_google", 2.0)
-        device = VictimDevice(
-            name="custom",
-            microphone=_CustomMicrophone(phone_device.microphone.config),
-            recognizer=phone_device.recognizer,
+        device = _custom_device(
+            phone_device, _CustomMicrophone(phone_device.microphone.config)
         )
         pipeline = build_pipeline(scenario, device)
         assert "record" in pipeline.stage_names()
         assert "adc" not in pipeline.stage_names()
-        support = pipeline.batch_support()
-        assert not support
-        assert "_CustomMicrophone" in support.reason
 
-    def test_supports_batch_is_a_verdict_even_when_unenrolled(
-        self, phone_device, emission_sources
+    def test_unenrolled_command_rejected_at_construction(
+        self, phone_device
     ):
-        """Batchability and runnability are separate questions."""
-        from repro.sim.engine import TrialGroup
-        from repro.sim.batch import run_group_batch, supports_batch
-
-        # phone_device only enrolled "ok_google"; the group can never
-        # run, but supports_batch must still answer, as it always has.
+        # phone_device only enrolled "ok_google": an attack pipeline
+        # for "alexa" can never run, but its recording-only pipeline
+        # builds, because recording does not need the template.
         scenario = get_scenario("free_field").build("alexa", 2.0)
-        group = TrialGroup(scenario, phone_device, emission_sources, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
-        # Running it is what fails, with the enrollment message.
         with pytest.raises(ExperimentError, match="no template"):
-            run_group_batch(group, np.random.default_rng(0).spawn(2))
+            build_pipeline(scenario, phone_device)
+        pipeline = build_pipeline(
+            scenario, phone_device.microphone, recognize=False
+        )
+        assert pipeline.stage_names()[-1] == "adc"
 
-    def test_fallback_inside_run_trials_matches_scalar(
+    def test_adapter_rows_draw_from_their_own_generators(
         self, phone_device, emission_sources
     ):
-        """batch=True on a scalar-only pipeline silently walks scalar."""
-        scenario = get_scenario("free_field").build("ok_google", 2.0)
-        reference = build_pipeline(scenario, phone_device)
-        # Same stage list, minus every batch kernel.
-        crippled = TrialPipeline(
-            [
-                Stage(name=stage.name, scalar=stage.scalar)
-                for stage in reference.stages
-            ],
+        stock = get_scenario("free_field").build("ok_google", 2.0)
+        scenario = _RecordingChannelScenario(
+            command=stock.command,
+            attacker_position=stock.attacker_position,
+            victim_position=stock.victim_position,
         )
-        ctx = reference.context(emission_sources)
-        rngs_a = np.random.default_rng(3).spawn(3)
-        rngs_b = np.random.default_rng(3).spawn(3)
-        batched = crippled.run_trials(ctx, rngs_a, batch=True)
-        scalar = [reference.run_scalar(ctx, rng) for rng in rngs_b]
-        for x, y in zip(batched, scalar):
-            assert x.distance == y.distance
-            assert np.array_equal(
-                x.recording.samples, y.recording.samples
+        pipeline = build_pipeline(
+            scenario, phone_device.microphone, recognize=False
+        )
+        ctx = pipeline.context(emission_sources)
+        rngs = np.random.default_rng(3).spawn(5)
+        _RecordingChannel.seen.clear()
+        pipeline.run_trials(ctx, rngs, chunk_trials=2)
+        assert [id(rng) for rng in _RecordingChannel.seen] == [
+            id(rng) for rng in rngs
+        ]
+
+    def test_adapter_stage_is_chunk_size_invariant(
+        self, phone_device, emission_sources
+    ):
+        class _CustomMicrophone(Microphone):
+            pass
+
+        scenario = get_scenario("walking_attacker").build("ok_google", 2.0)
+        device = _custom_device(
+            phone_device, _CustomMicrophone(phone_device.microphone.config)
+        )
+        pipeline = build_pipeline(scenario, device)
+        ctx = pipeline.context(emission_sources)
+        runs = [
+            pipeline.run_trials(
+                ctx, np.random.default_rng(3).spawn(3), chunk_trials=chunk
             )
+            for chunk in (1, 2, CHUNK_TRIALS)
+        ]
+        for other in runs[1:]:
+            for x, y in zip(runs[0], other):
+                assert x.distance == y.distance
+                assert np.array_equal(
+                    x.recording.samples, y.recording.samples
+                )
 
 
 class TestInvariantPrecompute:
@@ -229,10 +248,15 @@ class TestInvariantPrecompute:
         assert pipeline.invariants.stats.hits == 1
         assert ctx_a.clean_interference is ctx_b.clean_interference
 
-    def test_runner_shares_the_bounded_cache(self, phone_device):
+    def test_each_pipeline_gets_a_private_bounded_cache(
+        self, phone_device
+    ):
         scenario = get_scenario("tv_interference").build("ok_google", 2.0)
-        runner = ScenarioRunner(scenario, phone_device)
-        assert runner.pipeline.invariants.max_entries <= 8
+        a = build_pipeline(scenario, phone_device)
+        b = build_pipeline(scenario, phone_device)
+        assert a.invariants is not b.invariants
+        assert a.invariants.max_entries <= 8
+        assert b.invariants.max_entries <= 8
 
     def test_free_field_context_skips_the_bed(
         self, phone_device, emission_sources
@@ -251,7 +275,7 @@ class TestInvariantPrecompute:
 
     def test_synthetic_pipeline_has_no_context(self):
         pipeline = TrialPipeline(
-            [Stage(name="x", scalar=lambda ctx, v, rng: 0.0)]
+            [Stage("x", lambda ctx, v, rngs: [0.0] * len(rngs))]
         )
         with pytest.raises(ExperimentError, match="context builder"):
             pipeline.context([object()])
@@ -266,41 +290,28 @@ _BASE = np.linspace(-1.0, 1.0, 64)
 
 def _inject() -> Stage:
     return Stage(
-        name="inject",
-        scalar=lambda ctx, v, rng: _BASE.copy(),
-        batch=lambda ctx, v, rngs: np.tile(_BASE, (len(rngs), 1)),
+        "inject", lambda ctx, v, rngs: np.tile(_BASE, (len(rngs), 1))
     )
 
 
 def _scale(index: int, factor: float) -> Stage:
-    return Stage(
-        name=f"scale-{index}",
-        scalar=lambda ctx, v, rng: v * factor,
-        batch=lambda ctx, v, rngs: v * factor,
-    )
+    return Stage(f"scale-{index}", lambda ctx, v, rngs: v * factor)
 
 
 def _offset(index: int, amount: float) -> Stage:
-    return Stage(
-        name=f"offset-{index}",
-        scalar=lambda ctx, v, rng: v + amount,
-        batch=lambda ctx, v, rngs: v + amount,
-    )
+    return Stage(f"offset-{index}", lambda ctx, v, rngs: v + amount)
 
 
 def _noise(index: int) -> Stage:
     """A draw-consuming stage: one normal vector per trial generator."""
 
-    def scalar(ctx, v, rng):
-        return v + rng.normal(0.0, 1.0, v.shape[-1])
-
-    def batch(ctx, v, rngs):
+    def kernel(ctx, v, rngs):
         out = np.empty_like(v)
         for row, rng in enumerate(rngs):
             out[row] = v[row] + rng.normal(0.0, 1.0, v.shape[-1])
         return out
 
-    return Stage(name=f"noise-{index}", scalar=scalar, batch=batch)
+    return Stage(f"noise-{index}", kernel)
 
 
 def _build_random_stages(spec: list[tuple[str, float]]) -> list[Stage]:
@@ -313,6 +324,19 @@ def _build_random_stages(spec: list[tuple[str, float]]) -> list[Stage]:
         else:
             stages.append(_noise(index))
     return stages
+
+
+def _one_trial(spec: list[tuple[str, float]], rng) -> np.ndarray:
+    """The same stage list written out for one trial, no executor."""
+    value = _BASE.copy()
+    for kind, parameter in spec:
+        if kind == "scale":
+            value = value * parameter
+        elif kind == "offset":
+            value = value + parameter
+        else:
+            value = value + rng.normal(0.0, 1.0, value.shape[-1])
+    return value
 
 
 class TestExecutorEquivalence:
@@ -335,23 +359,24 @@ class TestExecutorEquivalence:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_executor_bitwise_equals_scalar(
+    def test_chunked_executor_bitwise_equals_one_trial_reference(
         self, spec, n_trials, chunk_trials, seed
     ):
-        """Scalar walk == chunked batch walk, for any stage list."""
+        """Chunked executor == row-at-a-time reference, any stage list."""
         pipeline = TrialPipeline(_build_random_stages(spec))
         ctx = TrialContext(clean_attack=None)
-        scalar_rngs = np.random.default_rng(seed).spawn(n_trials)
-        batch_rngs = np.random.default_rng(seed).spawn(n_trials)
-        scalar = [
-            pipeline.run_scalar(ctx, rng) for rng in scalar_rngs
+        reference = [
+            _one_trial(spec, rng)
+            for rng in np.random.default_rng(seed).spawn(n_trials)
         ]
         batched = pipeline.run_trials(
-            ctx, batch_rngs, batch=True, chunk_trials=chunk_trials
+            ctx,
+            np.random.default_rng(seed).spawn(n_trials),
+            chunk_trials=chunk_trials,
         )
         assert len(batched) == n_trials
-        for row, reference in zip(batched, scalar):
-            assert np.array_equal(row, reference)
+        for row, expected in zip(batched, reference):
+            assert np.array_equal(row, expected)
 
     def test_run_trials_rejects_empty_generators(self):
         pipeline = TrialPipeline([_inject()])
@@ -371,13 +396,11 @@ class TestExecutorEquivalence:
         pipeline = TrialPipeline(
             [
                 Stage(
-                    name="broken",
-                    scalar=lambda ctx, v, rng: 1.0,
-                    batch=lambda ctx, v, rngs: 1.0,  # not per-trial
+                    "broken", lambda ctx, v, rngs: 1.0  # not per-trial
                 )
             ]
         )
-        with pytest.raises(ExperimentError, match="final batch stage"):
+        with pytest.raises(ExperimentError, match="final stage"):
             pipeline.run_trials(
                 TrialContext(None), np.random.default_rng(0).spawn(2)
             )
@@ -386,9 +409,7 @@ class TestExecutorEquivalence:
         pipeline = TrialPipeline(
             [
                 Stage(
-                    name="short",
-                    scalar=lambda ctx, v, rng: 1.0,
-                    batch=lambda ctx, v, rngs: [1.0],  # one row short
+                    "short", lambda ctx, v, rngs: [1.0]  # one row short
                 )
             ]
         )
@@ -416,11 +437,11 @@ class TestLevelStage:
         )
         scenario = get_scenario("free_field").build("ok_google", 1.0)
         captured_batch: list[float] = []
-        captured_scalar: list[float] = []
+        captured_single: list[float] = []
         outcomes = {}
-        for label, capture, batch in (
-            ("batch", captured_batch, True),
-            ("scalar", captured_scalar, False),
+        for label, capture, chunk_trials in (
+            ("batch", captured_batch, CHUNK_TRIALS),
+            ("single", captured_single, 1),
         ):
             pipeline = build_pipeline(
                 scenario,
@@ -433,12 +454,12 @@ class TestLevelStage:
             outcomes[label] = pipeline.run_trials(
                 pipeline.context(sources),
                 np.random.default_rng(7).spawn(4),
-                batch=batch,
+                chunk_trials=chunk_trials,
             )
-        assert captured_batch == captured_scalar
+        assert captured_batch == captured_single
         assert len(captured_batch) == 4
         assert all(55.0 <= spl <= 68.0 for spl in captured_batch)
-        for x, y in zip(outcomes["batch"], outcomes["scalar"]):
+        for x, y in zip(outcomes["batch"], outcomes["single"]):
             assert np.array_equal(x.samples, y.samples)
 
 
@@ -461,31 +482,38 @@ def group(scenario, phone_device):
     )
 
 
-def _traced_rows(pipeline, ctx, n_trials, modes):
-    """Stage rows of one traced ``run_trials`` per entry of ``modes``."""
+def _traced_rows(pipeline, ctx, n_trials, chunk_sizes):
+    """Stage rows of one traced ``run_trials`` per chunk size."""
     tracer = Tracer()
     with activate(tracer):
-        for batch in modes:
+        for chunk_trials in chunk_sizes:
             rngs = np.random.default_rng(7).spawn(n_trials)
-            pipeline.run_trials(ctx, rngs, batch=batch)
+            pipeline.run_trials(ctx, rngs, chunk_trials=chunk_trials)
     return stage_rows(tracer.spans)
 
 
 class TestStageRows:
-    def test_attributes_both_modes(self, scenario, phone_device, group):
+    def test_every_chunk_size_is_one_mode(
+        self, scenario, phone_device, group
+    ):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        rows = _traced_rows(pipeline, ctx, group.n_trials, (False, True))
-        modes = {row["mode"] for row in rows}
-        assert modes == {"scalar", "batch"}
-        for mode in modes:
-            stages = [row["stage"] for row in rows if row["mode"] == mode]
-            assert stages == list(pipeline.stage_names())
+        rows = _traced_rows(
+            pipeline, ctx, group.n_trials, (1, CHUNK_TRIALS)
+        )
+        assert {row["mode"] for row in rows} == {"batch"}
+        assert [row["stage"] for row in rows] == list(
+            pipeline.stage_names()
+        )
+        for row in rows:
+            # n_trials one-trial chunks, then one chunk of them all.
+            assert row["calls"] == group.n_trials + 1
+            assert row["trials"] == 2 * group.n_trials
 
     def test_trial_counts_and_rows(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        rows = _traced_rows(pipeline, ctx, group.n_trials, (True,))
+        rows = _traced_rows(pipeline, ctx, group.n_trials, (CHUNK_TRIALS,))
         for row in rows:
             assert set(row) == {
                 "mode", "stage", "seconds", "calls", "trials",
@@ -507,7 +535,9 @@ class TestStageRows:
     ):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        rows = _traced_rows(pipeline, ctx, group.n_trials, (True, True))
+        rows = _traced_rows(
+            pipeline, ctx, group.n_trials, (CHUNK_TRIALS, CHUNK_TRIALS)
+        )
         for row in rows:
             assert row["calls"] == 2
             assert row["trials"] == 2 * group.n_trials
@@ -516,14 +546,16 @@ class TestStageRows:
 class TestOnePrecision:
     """float64 is the only precision; the float32 knobs are gone."""
 
-    def test_recordings_are_float64_in_both_modes(
+    def test_recordings_are_float64_at_every_chunk_size(
         self, scenario, phone_device, group
     ):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        for batch in (False, True):
+        for chunk_trials in (1, CHUNK_TRIALS):
             rngs = np.random.default_rng(7).spawn(group.n_trials)
-            for outcome in pipeline.run_trials(ctx, rngs, batch=batch):
+            for outcome in pipeline.run_trials(
+                ctx, rngs, chunk_trials=chunk_trials
+            ):
                 assert outcome.recording.samples.dtype == np.float64
 
     def test_fast_math_environment_is_ignored(
@@ -540,7 +572,7 @@ class TestOnePrecision:
             pipeline = build_pipeline(scenario, phone_device)
             ctx = pipeline.context(group.resolve_sources())
             rngs = np.random.default_rng(7).spawn(group.n_trials)
-            results[flag] = pipeline.run_trials(ctx, rngs, batch=True)
+            results[flag] = pipeline.run_trials(ctx, rngs)
         for plain, flagged in zip(results[None], results["1"]):
             assert plain.success == flagged.success
             assert plain.distance == flagged.distance
@@ -577,13 +609,13 @@ class TestOnePrecision:
 
 class TestRecognizeBatch:
     def test_bitwise_equal_to_scalar(self, scenario, phone_device, group):
-        pipeline = build_pipeline(scenario, phone_device)
-        ctx = pipeline.context(group.resolve_sources())
         rngs = np.random.default_rng(11).spawn(6)
-        scalar = [pipeline.run_scalar(ctx, rng) for rng in rngs]
+        reference = reference_trials(
+            scenario, phone_device, group.resolve_sources(), rngs
+        )
         recognizer = phone_device.recognizer
-        recordings = [outcome.recording for outcome in scalar]
+        recordings = [outcome.recording for outcome in reference]
         batched = recognizer.recognize_batch(recordings)
-        for outcome, result in zip(scalar, batched):
+        for outcome, result in zip(reference, batched):
             assert result.command == outcome.recognized_command
             assert result.distance == outcome.distance

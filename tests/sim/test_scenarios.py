@@ -3,10 +3,11 @@
 Two guarantees for *every* registered environment (the scenario
 counterpart of the 15-experiment batch-equivalence suite):
 
-* **batch vs scalar** — the vectorized kernel reproduces the scalar
-  per-trial loop bitwise (same successes, same DTW distances, same
-  recorded waveforms) in rooms, under interference, with a walking
-  attacker and in weather, not just in the free field;
+* **pipeline vs reference** — the stacked trial pipeline reproduces
+  the per-trial reference (:func:`differential.reference_trials`)
+  bitwise (same successes, same DTW distances, same recorded
+  waveforms) in rooms, under interference, with a walking attacker
+  and in weather, not just in the free field;
 * **jobs determinism** — fanning the same groups over a worker pool
   changes nothing about the outcomes, byte for byte.
 
@@ -20,14 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import outcomes_identical
+from differential import outcomes_identical, reference_trials
 from strategies import rooms
 from repro.acoustics.geometry import Position
 from repro.errors import ExperimentError
 from repro.experiments._emissions import single_full
-from repro.sim.batch import run_group_batch, supports_batch
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
-from repro.sim.runner import ScenarioRunner
+from repro.sim.pipeline import build_pipeline
 from repro.sim.scenario import (
     AttackerMotion,
     InterferenceSource,
@@ -198,11 +198,11 @@ class TestInterference:
         quiet = get_scenario("living_room").build("ok_google", 2.0)
         noisy = get_scenario("tv_interference").build("ok_google", 2.0)
         sources = EmissionSpec(single_full, ("ok_google", 5)).sources()
-        a = ScenarioRunner(quiet, phone_device).run_trial(
-            list(sources), np.random.default_rng(4)
+        (a,) = reference_trials(
+            quiet, phone_device, sources, [np.random.default_rng(4)]
         )
-        b = ScenarioRunner(noisy, phone_device).run_trial(
-            list(sources), np.random.default_rng(4)
+        (b,) = reference_trials(
+            noisy, phone_device, sources, [np.random.default_rng(4)]
         )
         assert not np.array_equal(
             a.recording.samples, b.recording.samples
@@ -261,11 +261,11 @@ class TestScenarioCarriesEnvironment:
 
 
 class TestScenarioDifferential:
-    """Every registered environment: batch == scalar, jobs-invariant."""
+    """Every registered environment: pipeline == reference, jobs-invariant."""
 
     @pytest.fixture(scope="class")
     def per_scenario(self, phone_device, emission_spec):
-        """Scalar and batched outcomes for a small group per scenario."""
+        """Reference and pipeline outcomes for a small group per scenario."""
         def trial_rngs():
             # The exact streams the engine derives for a single group:
             # one child per group, then one grandchild per trial — so
@@ -278,29 +278,30 @@ class TestScenarioDifferential:
         for name in scenario_names():
             scenario = get_scenario(name).build("ok_google", 2.0)
             group = TrialGroup(scenario, phone_device, emission_spec, 3)
-            runner = ScenarioRunner(scenario, phone_device)
             sources = group.resolve_sources()
-            scalar = [
-                runner.run_trial(sources, rng) for rng in trial_rngs()
-            ]
-            batched = run_group_batch(group, trial_rngs())
-            results[name] = (group, scalar, batched)
+            reference = reference_trials(
+                scenario, phone_device, sources, trial_rngs()
+            )
+            pipeline = build_pipeline(scenario, phone_device)
+            batched = pipeline.run_trials(
+                pipeline.context(sources), trial_rngs()
+            )
+            results[name] = (group, reference, batched)
         return results
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
-    def test_no_scalar_fallback(
-        self, name, phone_device, emission_spec
-    ):
+    def test_no_adapter_stage(self, name, phone_device):
+        # Every registered environment runs on the stock stacked
+        # stages; only subclassed models need the per-row adapters.
         scenario = get_scenario(name).build("ok_google", 2.0)
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
+        names = build_pipeline(scenario, phone_device).stage_names()
+        assert "record" not in names
+        assert {"ambient", "microphone", "adc"} <= set(names)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
-    def test_batch_bitwise_equals_scalar(self, name, per_scenario):
-        _, scalar, batched = per_scenario[name]
-        assert outcomes_identical(scalar, batched)
+    def test_batch_bitwise_equals_reference(self, name, per_scenario):
+        _, reference, batched = per_scenario[name]
+        assert outcomes_identical(reference, batched)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
     def test_jobs_do_not_change_outcomes(self, name, per_scenario):

@@ -1,10 +1,12 @@
-"""Unit tests for the sim package (scenario, runner, sweep, results)."""
+"""Unit tests for the sim package (scenario, engine trials, sweep, results)."""
 
+import numpy as np
 import pytest
 
+from differential import outcomes_identical, reference_trials
 from repro.acoustics.geometry import Position, Room
+from repro.sim.engine import ExperimentEngine
 from repro.sim.results import ResultTable
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.sim.sweep import accuracy_over_distances, success_rate
 from repro.errors import ExperimentError
@@ -65,12 +67,13 @@ class TestVictimDevice:
         assert "alexa" in echo.recognizer.commands
 
 
-class TestRunner:
+class TestEngineTrials:
     def test_trial_outcome_fields(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        outcome = runner.run_trial(list(attack_emission.sources), rng)
+        (outcome,) = ExperimentEngine(jobs=1).run_trials(
+            base_scenario, phone_device, attack_emission.sources, 1, rng
+        )
         assert outcome.recognized_command in phone_device.recognizer.commands
         assert outcome.recording.sample_rate == 48000.0
         assert isinstance(outcome.success, bool)
@@ -78,34 +81,51 @@ class TestRunner:
     def test_full_drive_attack_succeeds_at_2m(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        outcomes = runner.run_trials(list(attack_emission.sources), 3, rng)
+        outcomes = ExperimentEngine(jobs=1).run_trials(
+            base_scenario, phone_device, attack_emission.sources, 3, rng
+        )
         assert sum(o.success for o in outcomes) >= 2
+        # The engine's per-trial streams: one child per group, one
+        # grandchild per trial.
+        (group_rng,) = np.random.default_rng(12345).spawn(1)
+        reference = reference_trials(
+            base_scenario,
+            phone_device,
+            attack_emission.sources,
+            group_rng.spawn(3),
+        )
+        assert outcomes_identical(reference, outcomes)
 
-    def test_unenrolled_command_rejected(self, phone_device):
+    def test_unenrolled_command_rejected(self, phone_device, rng):
         scenario = Scenario(
             command="open_door",
             attacker_position=Position(0, 2, 1),
             victim_position=Position(2, 2, 1),
         )
-        with pytest.raises(ExperimentError):
-            ScenarioRunner(scenario, phone_device)
+        with pytest.raises(ExperimentError, match="no template"):
+            ExperimentEngine(jobs=1).run_trials(
+                scenario, phone_device, [object()], 1, rng
+            )
 
     def test_empty_sources_rejected(
         self, base_scenario, phone_device, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        with pytest.raises(ExperimentError):
-            runner.run_trial([], rng)
+        with pytest.raises(ExperimentError, match="at least one source"):
+            ExperimentEngine(jobs=1).run_trials(
+                base_scenario, phone_device, [], 1, rng
+            )
 
 
 class TestSweep:
     def test_success_rate_bounds(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
         rate = success_rate(
-            runner, list(attack_emission.sources), 2, rng
+            base_scenario,
+            phone_device,
+            list(attack_emission.sources),
+            2,
+            rng,
         )
         assert 0.0 <= rate <= 1.0
 

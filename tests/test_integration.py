@@ -12,6 +12,7 @@ Each test here is one sentence of the paper:
 import numpy as np
 import pytest
 
+from differential import reference_trials
 from repro.acoustics.channel import AcousticChannel
 from repro.acoustics.geometry import Position
 from repro.attack.array import grid_array
@@ -25,7 +26,6 @@ from repro.hardware.devices import (
     ultrasonic_piezo_element,
 )
 from repro.psychoacoustics.audibility import evaluate_audibility
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 
 ORIGIN = Position(0.0, 2.0, 1.0)
@@ -77,9 +77,8 @@ class TestAttackStoryline:
         report = evaluate_audibility(audible_part)
         assert report.margin_db < 3.0
         # ...yet the device recognises the command.
-        runner = ScenarioRunner(scenario, device)
-        outcomes = runner.run_trials(
-            list(array_emission.sources), 3, rng
+        outcomes = reference_trials(
+            scenario, device, array_emission.sources, [rng] * 3
         )
         assert sum(o.success for o in outcomes) >= 2
 
@@ -91,8 +90,9 @@ class TestAttackStoryline:
             microphone=ideal_linear_microphone(),
             recognizer=device.recognizer,
         )
-        runner = ScenarioRunner(scenario, linear_device)
-        outcomes = runner.run_trials(list(attack_emission.sources), 3, rng)
+        outcomes = reference_trials(
+            scenario, linear_device, attack_emission.sources, [rng] * 3
+        )
         assert sum(o.success for o in outcomes) == 0
 
     def test_inaudibility_cap_kills_single_speaker_range(
@@ -100,8 +100,9 @@ class TestAttackStoryline:
     ):
         attacker = SingleSpeakerAttacker(horn_tweeter(), ORIGIN)
         emission = attacker.emit_inaudibly(ok_google_voice)
-        runner = ScenarioRunner(scenario.at_distance(2.0), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        outcomes = reference_trials(
+            scenario.at_distance(2.0), device, emission.sources, [rng] * 3
+        )
         assert sum(o.success for o in outcomes) == 0
 
     def test_split_array_succeeds_where_single_fails(
@@ -116,8 +117,9 @@ class TestAttackStoryline:
                 source.pressure_at_1m
             ).margin_db < 3.0
         # ...but the command lands at 4 m.
-        runner = ScenarioRunner(scenario.at_distance(4.0), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        outcomes = reference_trials(
+            scenario.at_distance(4.0), device, emission.sources, [rng] * 3
+        )
         assert sum(o.success for o in outcomes) >= 2
 
 
